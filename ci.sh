@@ -26,6 +26,11 @@ cargo build -q --release --bin polysig-lint
 ./target/release/polysig-lint --deny warnings \
   --waivers programs/lint.waivers programs/*.sig
 
+echo "==> examples: each checks itself with assert!, so the exit status is the check"
+for example in quickstart producer_consumer multirate_sampler gals_pipeline split_and_deploy; do
+  cargo run -q --release --example "$example" > /dev/null
+done
+
 echo "==> fuzz smoke: corpus replay + 200 generated cases per shape, fixed seed (sequential)"
 POLYSIG_TEST_THREADS=1 POLYSIG_FUZZ_SEED=1 POLYSIG_FUZZ_CASES=200 \
   cargo test -q --release --test fuzz_conformance

@@ -38,6 +38,12 @@ pub enum GalsError {
         /// The unknown signal.
         signal: SigName,
     },
+    /// A federated run names the same component in two federate specs; each
+    /// component's channel endpoints can serve only one federate.
+    DuplicateFederate {
+        /// The component named twice.
+        component: String,
+    },
     /// A component's clock hierarchy has several independent master clocks,
     /// so its reactions are not determined by its input flows —
     /// the endochrony precondition Theorem 1 needs before desynchronization
@@ -76,6 +82,9 @@ impl fmt::Display for GalsError {
             }
             GalsError::UnknownSignal { signal } => {
                 write!(f, "executor does not know signal `{signal}`")
+            }
+            GalsError::DuplicateFederate { component } => {
+                write!(f, "component `{component}` is federated more than once")
             }
             GalsError::NonEndochronous { component, masters } => {
                 write!(
@@ -134,6 +143,7 @@ mod tests {
             GalsError::UnknownChannel { signal: "x".into() },
             GalsError::EstimationDiverged { iterations: 10, sizes: vec![("x".into(), 64)] },
             GalsError::UnknownSignal { signal: "x".into() },
+            GalsError::DuplicateFederate { component: "Q".into() },
             GalsError::NonEndochronous {
                 component: "P".into(),
                 masters: vec!["y".into(), "z".into()],

@@ -41,7 +41,7 @@ use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 use polysig_lang::Program;
-use polysig_sim::{DenseEnv, Reactor, ReactorState, Scenario, SimError, Simulator};
+use polysig_sim::{DenseEnv, Reactor, ReactorState, Scenario, Simulator};
 use polysig_tagged::hash::FxHashMap;
 use polysig_tagged::{SigId, SigName, Value};
 
@@ -524,7 +524,7 @@ fn estimate_with_ctx(
     for _ in 0..options.max_iterations {
         let key: Vec<usize> = signals.iter().map(|s| sizes[s]).collect();
         let round = ctx.round(&sizes, &key)?;
-        let dense = dense_scenario(&round.reactor, scenario)?;
+        let dense = round.reactor.dense_scenario(scenario)?;
         let plan = if warm_ok {
             prev.as_ref().and_then(|p| plan_warm_start(p, &key, &fifo_names, &round.reactor))
         } else {
@@ -726,25 +726,6 @@ fn measure_round(
         max_miss: max_miss.into_iter().map(|v| v.max(0) as usize).collect(),
         first_write,
     })
-}
-
-/// Converts a scenario to dense per-instant environments against one
-/// reactor's interner, mirroring [`Simulator::run`]'s conversion (including
-/// its reject-unknown-names-before-reacting behavior).
-fn dense_scenario(reactor: &Reactor, scenario: &Scenario) -> Result<Vec<DenseEnv>, GalsError> {
-    let n = reactor.signal_count();
-    let mut steps = Vec::with_capacity(scenario.len());
-    for inputs in scenario.iter() {
-        let mut env = DenseEnv::new(n);
-        for (name, value) in inputs {
-            let Some(id) = reactor.sig_id(name) else {
-                return Err(SimError::NotAnInput { name: name.clone() }.into());
-            };
-            env.set(id, *value);
-        }
-        steps.push(env);
-    }
-    Ok(steps)
 }
 
 /// The outcome of an ensemble estimation: one report per scenario plus the
@@ -994,7 +975,7 @@ mod tests {
 
         let sizes1: BTreeMap<SigName, usize> = [(SigName::from("x"), 1)].into();
         let round1 = ctx.round(&sizes1, &[1]).unwrap();
-        let dense = dense_scenario(&round1.reactor, &scenario).unwrap();
+        let dense = round1.reactor.dense_scenario(&scenario).unwrap();
         let obs = measure_round(round1, &dense, None).unwrap();
         let (t, _) = obs.first_write[0].as_ref().expect("the writer wrote");
         assert_eq!(*t, 3);

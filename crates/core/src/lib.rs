@@ -25,8 +25,8 @@
 //!   alarm);
 //! * [`runtime`] — the *deployment* side: run the components on independent
 //!   local clocks (periodic / jittered / random) coupled by real queues, in
-//!   one thread or on OS threads via crossbeam, and check that the observed
-//!   I/O flows stay flow-equivalent to the synchronous model.
+//!   one deterministic thread or as federates on OS threads, and check that
+//!   the observed I/O flows stay flow-equivalent to the synchronous model.
 //!
 //! ## Quick tour
 //!

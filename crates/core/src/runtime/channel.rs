@@ -354,15 +354,18 @@ impl FedSender {
     /// raised `shutdown` flag promptly; a consumer endpoint dropping wakes
     /// the call immediately (disconnect-aware, no timeout needed). Stall
     /// time is accounted on the channel's telemetry: one stall event per
-    /// send that had to wait, plus the summed wall-clock wait.
+    /// send that had to wait, plus the summed wall-clock wait. A send to an
+    /// already-gone consumer returns at once and is not a stall.
     pub fn send(&self, value: Value, poll: Duration, shutdown: &AtomicBool) -> SendOutcome {
         let sh = &*self.shared;
         let mut st = sh.state.lock().expect("federated channel poisoned");
-        if !st.consumer_gone && st.queue.len() < sh.capacity {
+        if st.consumer_gone {
+            return SendOutcome::ConsumerGone;
+        }
+        if st.queue.len() < sh.capacity {
             return Self::commit(sh, &mut st, value);
         }
-        // slow path: out of credit (or consumer gone) — stall with the
-        // clock running
+        // slow path: out of credit — stall with the clock running
         sh.telemetry.stall_events.fetch_add(1, Ordering::Relaxed);
         sh.telemetry.producer_waiting.store(true, Ordering::Relaxed);
         let stalled_from = Instant::now();
@@ -574,6 +577,18 @@ mod fed_tests {
         thread::sleep(Duration::from_millis(10));
         drop(rx);
         assert_eq!(producer.join().unwrap(), SendOutcome::ConsumerGone);
+    }
+
+    #[test]
+    fn send_to_a_gone_consumer_is_not_a_stall() {
+        let (tx, rx) = fed_channel(1);
+        drop(rx);
+        assert_eq!(tx.send(Value::Int(1), POLL, &no_shutdown()), SendOutcome::ConsumerGone);
+        let counters = tx.telemetry().snapshot();
+        assert_eq!(counters.stall_events, 0, "no credit wait happened");
+        assert_eq!(counters.stalled, Duration::ZERO);
+        assert_eq!(counters.pushes, 0);
+        assert_eq!(tx.telemetry().waiting_ends(), 0);
     }
 
     #[test]

@@ -169,19 +169,7 @@ impl GalsExecutor {
         for c in &mut self.components {
             activation_sets.push(c.spec.clock.activations(horizon));
             c.reactor.reset();
-            let n = c.reactor.signal_count();
-            let mut steps = Vec::with_capacity(c.spec.environment.len());
-            for inputs in c.spec.environment.iter() {
-                let mut env = DenseEnv::new(n);
-                for (name, value) in inputs {
-                    let Some(id) = c.reactor.sig_id(name) else {
-                        return Err(polysig_sim::SimError::NotAnInput { name: name.clone() }.into());
-                    };
-                    env.set(id, *value);
-                }
-                steps.push(env);
-            }
-            env_steps.push(steps);
+            env_steps.push(c.reactor.dense_scenario(&c.spec.environment)?);
             name_tables.push(c.reactor.signal_names().to_vec());
         }
         let mut activation_index = vec![0usize; self.components.len()];

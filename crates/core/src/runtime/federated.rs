@@ -37,7 +37,7 @@ use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use polysig_lang::{Program, Role};
-use polysig_sim::{DenseEnv, Reactor, Scenario, SimError};
+use polysig_sim::{DenseEnv, Reactor, Scenario};
 use polysig_tagged::{SigId, SigName, Value};
 
 use crate::error::GalsError;
@@ -48,6 +48,10 @@ use crate::runtime::channel::{
 };
 use crate::runtime::record::FlowRecorder;
 use crate::runtime::rti::{FederateCtx, JoinStats, Rti};
+
+/// Poll slice for blocked sends and receives: how promptly a stalled
+/// federate notices the shutdown flag.
+pub const STALL_POLL: Duration = Duration::from_millis(1);
 
 /// Configuration of one federate.
 #[derive(Debug, Clone)]
@@ -134,9 +138,6 @@ pub struct FederatedOptions {
     /// Record per-signal flows (off in soak mode: the streaming counters
     /// become the only observation, and memory stays flat).
     pub record_flows: bool,
-    /// Poll slice for blocked sends/receives — how promptly a stalled
-    /// federate notices the shutdown flag.
-    pub stall_poll: Duration,
     /// When set, the RTI samples every channel's occupancy at this cadence
     /// while the federation runs.
     pub sample_every: Option<Duration>,
@@ -145,9 +146,8 @@ pub struct FederatedOptions {
     /// two consecutive windows, the federation is declared deadlocked — the
     /// watchdog raises the shutdown flag (every federate unwinds at its
     /// next poll slice) and the run's [`WatchdogReport`] names the stalled
-    /// channels. Pick a cadence well above [`FederatedOptions::stall_poll`]
-    /// (≥ 10×) so a federate retiring on a gone peer is never mistaken for
-    /// a deadlock.
+    /// channels. Pick a cadence well above [`STALL_POLL`] (≥ 10×) so a
+    /// federate retiring on a gone peer is never mistaken for a deadlock.
     pub watchdog: Option<Duration>,
 }
 
@@ -158,7 +158,6 @@ impl Default for FederatedOptions {
             capacity_provenance: CapacityProvenance::Default,
             default_capacity: 1,
             record_flows: true,
-            stall_poll: Duration::from_millis(1),
             sample_every: None,
             watchdog: None,
         }
@@ -331,11 +330,11 @@ struct PreparedFederate {
 ///
 /// # Errors
 ///
-/// Static errors (unknown component, multi-consumer signal, an environment
-/// naming a signal the component does not intern) surface before any
-/// thread is spawned. A reaction error inside a federate raises the
-/// shutdown flag — draining the rest of the federation — and is returned
-/// after every thread is joined.
+/// Static errors (unknown component, a component named by two specs,
+/// multi-consumer signal, an environment naming a signal the component does
+/// not intern) surface before any thread is spawned. A reaction error
+/// inside a federate raises the shutdown flag — draining the rest of the
+/// federation — and is returned after every thread is joined.
 pub fn run_federated(
     program: &Program,
     federates: Vec<FederateSpec>,
@@ -363,6 +362,9 @@ pub fn run_federated(
     // elaborate every federate before spawning anything
     let mut prepared: Vec<PreparedFederate> = Vec::with_capacity(federates.len());
     for spec in federates {
+        if prepared.iter().any(|p| p.name == spec.name) {
+            return Err(GalsError::DuplicateFederate { component: spec.name });
+        }
         let comp = program
             .component(&spec.name)
             .ok_or_else(|| GalsError::UnknownSignal { signal: SigName::from(spec.name.as_str()) })?
@@ -384,18 +386,7 @@ pub fn run_federated(
                 Some((id, rx))
             })
             .collect();
-        let n_sigs = reactor.signal_count();
-        let mut env_steps: Vec<DenseEnv> = Vec::with_capacity(spec.environment.len());
-        for inputs in spec.environment.iter() {
-            let mut env = DenseEnv::new(n_sigs);
-            for (name, value) in inputs {
-                let Some(id) = reactor.sig_id(name) else {
-                    return Err(SimError::NotAnInput { name: name.clone() }.into());
-                };
-                env.set(id, *value);
-            }
-            env_steps.push(env);
-        }
+        let env_steps = reactor.dense_scenario(&spec.environment)?;
         prepared.push(PreparedFederate {
             name: spec.name,
             activations: spec.activations,
@@ -412,12 +403,11 @@ pub fn run_federated(
     drop(receivers);
 
     let record_flows = options.record_flows;
-    let poll = options.stall_poll;
     let mut rti: Rti<Result<FederateReport, GalsError>> = Rti::new(prepared.len());
     let started = Instant::now();
     for fed in prepared {
         let name = fed.name.clone();
-        rti.spawn(name, move |ctx| run_federate(fed, ctx, record_flows, poll));
+        rti.spawn(name, move |ctx| run_federate(fed, ctx, record_flows));
     }
 
     // stream occupancy samples while the federation runs, and (when the
@@ -460,7 +450,7 @@ pub fn run_federated(
                 // channel wait AND zero tokens moved since the last check —
                 // sustained over two consecutive windows, so a federate
                 // momentarily between a gone peer and its wakeup (a window
-                // of one stall_poll slice) can never trip it
+                // of one STALL_POLL slice) can never trip it
                 let live = rti.live_count();
                 let waiting: usize = monitors.iter().map(|(_, m)| m.waiting_ends()).sum();
                 let traffic: u64 = monitors.iter().map(|(_, m)| m.traffic()).sum();
@@ -507,7 +497,6 @@ fn run_federate(
     fed: PreparedFederate,
     ctx: FederateCtx,
     record_flows: bool,
-    poll: Duration,
 ) -> Result<FederateReport, GalsError> {
     let PreparedFederate { mut reactor, env_steps, out_links, in_links, .. } = fed;
     let n_sigs = reactor.signal_count();
@@ -536,7 +525,7 @@ fn run_federate(
                     if in_gone[i] {
                         continue;
                     }
-                    match rx.recv(poll, ctx.shutdown_flag()) {
+                    match rx.recv(STALL_POLL, ctx.shutdown_flag()) {
                         RecvOutcome::Value(v) => {
                             in_buf.set(*id, v);
                             any_value = true;
@@ -574,7 +563,7 @@ fn run_federate(
                     continue;
                 }
                 let Some(value) = present.get(*id) else { continue };
-                match tx.send(value, poll, ctx.shutdown_flag()) {
+                match tx.send(value, STALL_POLL, ctx.shutdown_flag()) {
                     SendOutcome::Sent => {}
                     SendOutcome::ConsumerGone => out_gone[i] = true,
                     SendOutcome::Interrupted => break 'activations,
@@ -805,6 +794,22 @@ mod tests {
         assert!(!report.fired && report.at.is_none() && report.stalled.is_empty());
         // the run still delivered everything
         assert_eq!(run.flow("P", &"x".into()), run.flow("Q", &"x".into()));
+    }
+
+    #[test]
+    fn duplicate_federate_fails_before_spawning() {
+        let n = 20;
+        let err = run_federated(
+            &pipe(),
+            vec![
+                FederateSpec::new("P", n).with_environment(env(n)),
+                FederateSpec::new("Q", 10 * n).data_driven(),
+                FederateSpec::new("Q", 10 * n).data_driven(),
+            ],
+            &FederatedOptions::default(),
+        )
+        .expect_err("a component named twice must be rejected");
+        assert_eq!(err, GalsError::DuplicateFederate { component: "Q".into() });
     }
 
     #[test]

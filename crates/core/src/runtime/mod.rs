@@ -12,37 +12,30 @@
 //! * [`channel`] — runtime queues with the [`crate::ChannelPolicy`]
 //!   overflow policies and occupancy statistics;
 //! * [`executor`] — a deterministic single-threaded event loop over global
-//!   time;
-//! * [`threaded`] — the same system on OS threads with crossbeam channels,
-//!   where the asynchrony is real;
-//! * [`federated`] — the production-shaped deployment: one compiled
-//!   federate per component over bounded credit channels, coordinated by
-//!   the [`rti`] (start barrier, shutdown propagation, streaming
-//!   occupancy counters, leak-free teardown);
-//! * [`record`] — the dense [`SigId`]-slot flow recorder all threaded
-//!   runtimes share.
+//!   time, the reference for the three channel policies;
+//! * [`federated`] — the same system on OS threads, where the asynchrony is
+//!   real: one compiled federate per component over bounded credit
+//!   channels, coordinated by the `rti` (start barrier, shutdown
+//!   propagation, streaming occupancy counters, leak-free teardown);
+//! * [`record`] — the dense [`SigId`]-slot flow recorder the federates use.
 //!
 //! [`SigId`]: polysig_tagged::SigId
 
 pub mod channel;
 pub mod clock;
-pub mod credit;
 pub mod executor;
 pub mod federated;
 pub mod record;
 pub(crate) mod rti;
-pub mod threaded;
 
 pub use channel::{
     fed_channel, ChannelCounters, ChannelMonitor, ChannelStats, ChannelTelemetry, FedReceiver,
     FedSender, RecvOutcome, RuntimeChannel, SendOutcome,
 };
 pub use clock::ClockModel;
-pub use credit::{run_threaded_credit, CreditRun};
 pub use executor::{ComponentSpec, GalsExecutor, GalsRun};
 pub use federated::{
     run_federated, FederateSpec, FederateStats, FederatedOptions, FederatedRun, OccupancySample,
 };
 pub use record::FlowRecorder;
 pub use rti::JoinStats;
-pub use threaded::run_threaded;

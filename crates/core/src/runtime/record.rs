@@ -1,11 +1,12 @@
-//! Dense per-signal flow recording for the threaded runtimes.
+//! Dense per-signal flow recording for the federated runtime.
 //!
-//! Every runtime that observes reactions (threaded, credit, federated)
-//! records flows the same way the reactor itself does (PR 1's pattern):
+//! Each federate records flows the same way the reactor itself does:
 //! values accumulate into [`SigId`]-indexed `Vec` slots during the run —
 //! no name-keyed map insert, no name clone, no per-value allocation beyond
 //! the `Vec` push — and convert to the name-keyed boundary form exactly
 //! once, when the run's report is assembled.
+//!
+//! [`SigId`]: polysig_tagged::SigId
 
 use std::collections::BTreeMap;
 

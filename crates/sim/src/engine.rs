@@ -4,7 +4,6 @@
 use polysig_lang::{Component, Program};
 use polysig_tagged::{Behavior, SigName, Tag, Value};
 
-use crate::env::DenseEnv;
 use crate::error::SimError;
 use crate::reactor::{Reactor, ReactorState};
 use crate::scenario::Scenario;
@@ -87,11 +86,11 @@ impl Simulator {
     /// Runs a scenario from the current state, recording a behavior. The
     /// reactor state advances; call [`Simulator::reset`] to start over.
     ///
-    /// The scenario's name-keyed steps are converted to [`DenseEnv`]s once,
-    /// up front; the per-reaction loop then drives
-    /// [`Reactor::react_dense`] and never touches a name-keyed map.
-    /// (Consequently, a scenario mentioning an undeclared name is rejected
-    /// before any reaction executes.)
+    /// The scenario's name-keyed steps are converted to dense environments
+    /// once, up front ([`Reactor::dense_scenario`]); the per-reaction loop
+    /// then drives [`Reactor::react_dense`] and never touches a name-keyed
+    /// map. (Consequently, a scenario mentioning an undeclared name is
+    /// rejected before any reaction executes.)
     ///
     /// # Errors
     ///
@@ -103,18 +102,7 @@ impl Simulator {
         for name in &names {
             behavior.declare(name.clone());
         }
-        let n = self.reactor.signal_count();
-        let mut dense_steps: Vec<DenseEnv> = Vec::with_capacity(scenario.len());
-        for inputs in scenario.iter() {
-            let mut env = DenseEnv::new(n);
-            for (name, value) in inputs {
-                let Some(id) = self.reactor.sig_id(name) else {
-                    return Err(SimError::NotAnInput { name: name.clone() });
-                };
-                env.set(id, *value);
-            }
-            dense_steps.push(env);
-        }
+        let dense_steps = self.reactor.dense_scenario(scenario)?;
         let mut events = 0usize;
         for (k, env) in dense_steps.iter().enumerate() {
             let present = self.reactor.react_dense(env)?;

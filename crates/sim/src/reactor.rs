@@ -28,6 +28,7 @@ use crate::compile::{lower, LowerInput};
 use crate::env::DenseEnv;
 use crate::error::SimError;
 use crate::ir::{compile, CExpr};
+use crate::scenario::Scenario;
 use crate::schedule::{CompiledComponent, Flow};
 use crate::status::Status;
 
@@ -470,6 +471,30 @@ impl Reactor {
     /// All signal names, in id order.
     pub fn signal_names(&self) -> &[SigName] {
         self.interner.names()
+    }
+
+    /// Converts a scenario's name-keyed steps to one [`DenseEnv`] per
+    /// instant against this reactor's ids — the boundary work every driver
+    /// does once, before its reaction loop.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::NotAnInput`] for the first name this reactor does not
+    /// declare, so a bad scenario is rejected before any reaction runs.
+    pub fn dense_scenario(&self, scenario: &Scenario) -> Result<Vec<DenseEnv>, SimError> {
+        let n = self.signal_count();
+        let mut steps = Vec::with_capacity(scenario.len());
+        for inputs in scenario.iter() {
+            let mut env = DenseEnv::new(n);
+            for (name, value) in inputs {
+                let Some(id) = self.sig_id(name) else {
+                    return Err(SimError::NotAnInput { name: name.clone() });
+                };
+                env.set(id, *value);
+            }
+            steps.push(env);
+        }
+        Ok(steps)
     }
 
     /// Number of `pre` registers.

@@ -4,19 +4,20 @@
 //! network preserving all properties of the system proven in the synchronous
 //! framework". This example runs a source → filter → sink pipeline twice —
 //! once in the deterministic GALS executor with jittered local clocks, once
-//! on real OS threads with crossbeam channels — and checks that the flows
-//! stay flow-equivalent (Definition 4) to each other under the blocking
-//! (lossless) channel policy.
+//! on real OS threads as one federate per component over bounded channels —
+//! and checks that the flows stay flow-equivalent (Definition 4) to the
+//! synchronous model under the blocking (lossless) channel policy.
 //!
 //! Run with: `cargo run --example gals_pipeline`
 
 use std::collections::BTreeMap;
 
-use polysig::gals::runtime::threaded::{run_threaded, ThreadedComponent};
-use polysig::gals::runtime::{ClockModel, ComponentSpec, GalsExecutor};
+use polysig::gals::runtime::{
+    run_federated, ClockModel, ComponentSpec, FederateSpec, FederatedOptions, GalsExecutor,
+};
 use polysig::gals::ChannelPolicy;
 use polysig::lang::parse_program;
-use polysig::sim::{PeriodicInputs, ScenarioGenerator};
+use polysig::sim::{PeriodicInputs, ScenarioGenerator, Simulator};
 use polysig::tagged::ValueType;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -67,39 +68,42 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(&filtered[..received.len()], received.as_slice());
     println!("flow check passed: sink's flow is a prefix of the filter's flow\n");
 
-    println!("== the same pipeline on OS threads (real asynchrony) ==");
-    let trun = run_threaded(
+    println!("== the same pipeline on OS threads: one federate per component ==");
+    // the synchronous composition is the reference every deployed flow
+    // must reproduce
+    let reference = Simulator::for_program(&program)?.run(&env)?;
+    let frun = run_federated(
         &program,
         vec![
-            ThreadedComponent { name: "Source".into(), activations: n, environment: env },
-            ThreadedComponent {
-                name: "Filter".into(),
-                activations: 8 * n,
-                environment: Default::default(),
-            },
-            ThreadedComponent {
-                name: "Sink".into(),
-                activations: 16 * n,
-                environment: Default::default(),
-            },
+            FederateSpec::new("Source", n).with_environment(env),
+            // downstream stages react once per arriving value and retire
+            // once their producer is done and drained
+            FederateSpec::new("Filter", n).data_driven(),
+            FederateSpec::new("Sink", n).data_driven(),
         ],
-        ChannelPolicy::Blocking,
-        4,
+        &FederatedOptions::default().with_default_capacity(4),
     )?;
-    let tsent = trun.flow("Source", &"x".into());
-    let tfiltered = trun.flow("Filter", &"y".into());
-    let treceived = trun.flow("Sink", &"y".into());
+    let tsent = frun.flow("Source", &"x".into());
+    let tfiltered = frun.flow("Filter", &"y".into());
+    let totals = frun.flow("Sink", &"total".into());
     println!(
         "threads: source {} values, filter {}, sink {}",
         tsent.len(),
         tfiltered.len(),
-        treceived.len()
+        totals.len()
     );
-    assert_eq!(&tfiltered[..treceived.len()], treceived.as_slice());
-    // both deployments carry the same source flow (the deterministic run may
-    // stop mid-stream at its horizon: prefix relation, Definition 4 on a
-    // finite prefix)
+    for (sig, c) in &frun.channels {
+        println!(
+            "  channel {sig}: pushes={} pops={} max-occupancy={} stalled-sends={}",
+            c.pushes, c.pops, c.max_occupancy, c.stall_events
+        );
+    }
+    assert_eq!(tsent, reference.flow(&"x".into()));
+    assert_eq!(tfiltered, reference.flow(&"y".into()));
+    assert_eq!(totals, reference.flow(&"total".into()));
+    // the deterministic run stops at its horizon, mid-stream: its source
+    // flow is a prefix of the deployed one (Definition 4 on a finite prefix)
     assert_eq!(&tsent[..sent.len()], sent.as_slice());
-    println!("flow check passed: thread deployment is flow-equivalent on the source link");
+    println!("flow check passed: every thread-deployed flow equals the synchronous model's");
     Ok(())
 }

@@ -36,6 +36,7 @@
 //! cooperative backstop polled between stages.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 
@@ -288,34 +289,32 @@ impl Engine {
 
     /// Fans `requests` across `threads` workers (same-keyed requests
     /// coalesce); responses come back in request order.
+    ///
+    /// Each worker claims the next unanswered index from a shared cursor,
+    /// so a slow request never holds back the rest of the batch.
     pub fn submit_many(&self, requests: &[Request], threads: usize) -> Vec<Response> {
         let threads = threads.max(1).min(requests.len().max(1));
-        if threads == 1 || requests.len() <= 1 {
+        if threads == 1 {
             return requests.iter().map(|r| self.submit(r)).collect();
         }
-        let (task_tx, task_rx) = crossbeam::channel::unbounded::<(usize, &Request)>();
-        for item in requests.iter().enumerate() {
-            task_tx.send(item).expect("queue open");
-        }
-        drop(task_tx);
-        let (done_tx, done_rx) = mpsc::channel::<(usize, Response)>();
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                let task_rx = task_rx.clone();
-                let done_tx = done_tx.clone();
-                scope.spawn(move || {
-                    while let Ok((i, req)) = task_rx.recv() {
-                        let _ = done_tx.send((i, self.submit(req)));
-                    }
-                });
-            }
+        let next = AtomicUsize::new(0);
+        let mut answered: Vec<(usize, Response)> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut done = Vec::new();
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            let Some(req) = requests.get(i) else { break done };
+                            done.push((i, self.submit(req)));
+                        }
+                    })
+                })
+                .collect();
+            workers.into_iter().flat_map(|w| w.join().expect("submit worker panicked")).collect()
         });
-        drop(done_tx);
-        let mut out: Vec<Option<Response>> = vec![None; requests.len()];
-        for (i, resp) in done_rx.iter() {
-            out[i] = Some(resp);
-        }
-        out.into_iter().map(|r| r.expect("every request answered")).collect()
+        answered.sort_unstable_by_key(|&(i, _)| i);
+        answered.into_iter().map(|(_, resp)| resp).collect()
     }
 
     /// Resolves (or re-uses) the program entry for `source`.

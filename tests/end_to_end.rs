@@ -4,20 +4,21 @@
 //! 1. specify a synchronous multi-component program;
 //! 2. desynchronize it and size the buffers (Sections 4–5);
 //! 3. verify "no alarm" for the target environment (Section 5.2);
-//! 4. deploy on independent local clocks (deterministic executor and OS
-//!    threads) and confirm the deployed flows are flow-equivalent to the
-//!    synchronous model — "preserving all properties of the system proven
-//!    in the synchronous framework".
+//! 4. deploy on independent local clocks (deterministic executor and
+//!    federated OS threads) and confirm the deployed flows are
+//!    flow-equivalent to the synchronous model — "preserving all properties
+//!    of the system proven in the synchronous framework".
 
 use std::collections::BTreeMap;
 
 use polysig::gals::estimate::{estimate_buffer_sizes, EstimationOptions};
-use polysig::gals::runtime::threaded::{run_threaded, ThreadedComponent};
-use polysig::gals::runtime::{ClockModel, ComponentSpec, GalsExecutor};
+use polysig::gals::runtime::{
+    run_federated, ClockModel, ComponentSpec, FederateSpec, FederatedOptions, GalsExecutor,
+};
 use polysig::gals::{desynchronize, ChannelPolicy, DesyncOptions};
 use polysig::lang::parse_program;
 use polysig::sim::generator::master_clock;
-use polysig::sim::{PeriodicInputs, Scenario, ScenarioGenerator, Simulator};
+use polysig::sim::{PeriodicInputs, ScenarioGenerator, Simulator};
 use polysig::tagged::{SigName, ValueType};
 
 fn program() -> polysig::lang::Program {
@@ -83,28 +84,30 @@ fn synchronous_model_to_gals_deployment() {
     );
     assert!(deployed_y.len() >= steps - size, "blocking deployment must deliver almost everything");
 
-    // (4b) thread deployment
-    let trun = run_threaded(
+    // (4b) thread deployment: one federate per component, the channel's
+    // credit pool sized from the estimation report; the data-driven
+    // consumer reacts once per arriving value and retires when the producer
+    // is done, so it delivers the whole flow, not a prefix
+    let frun = run_federated(
         &p,
         vec![
-            ThreadedComponent {
-                name: "Producer".into(),
-                activations: steps,
-                environment: producer_env,
-            },
-            ThreadedComponent {
-                name: "Consumer".into(),
-                activations: steps * 20,
-                environment: Scenario::new(),
-            },
+            FederateSpec::new("Producer", steps).with_environment(producer_env),
+            FederateSpec::new("Consumer", steps * 20).data_driven(),
         ],
-        ChannelPolicy::Blocking,
-        size,
+        &FederatedOptions::from_report(&report),
     )
     .unwrap();
-    let ty = trun.flow("Consumer", &"y".into());
-    assert_eq!(&reference_y[..ty.len()], ty.as_slice());
-    assert!(ty.len() >= steps - 2);
+    assert_eq!(
+        frun.flow("Consumer", &"y".into()),
+        reference_y,
+        "thread deployment must reproduce the synchronous flow exactly"
+    );
+    let x = &frun.channels[&SigName::from("x")];
+    assert!(
+        x.max_occupancy <= size,
+        "occupancy {} exceeded the estimated size {size}",
+        x.max_occupancy
+    );
 }
 
 #[test]
