@@ -47,7 +47,7 @@ echo "==> federated soak: 4 federates x 250k instants, streaming counters, no tr
 POLYSIG_SOAK=1 cargo test -q --release --test federated_runtime \
   soak_long_horizon_streams_counters
 
-echo "==> serve smoke: 64 requests at concurrency 8, one adversarial, against a live server"
+echo "==> serve smoke: a 10 000-deep frame, then 64 requests at concurrency 8, one adversarial, against a live server"
 cargo build -q --release --bin polysig-serve
 smoke_dir="$(mktemp -d)"
 ./target/release/polysig-serve serve --addr 127.0.0.1:0 \
@@ -59,6 +59,10 @@ for _ in $(seq 1 100); do
   sleep 0.1
 done
 [[ -s "$smoke_dir/port" ]] || { echo "serve smoke: server never wrote its port"; exit 1; }
+# a frame nested 10 000 levels deep must get a structured answer; the
+# load step's `transport_errors 0` then shows the server survived it
+python3 tools/serve_hostile_frame.py "$(cat "$smoke_dir/port")" \
+  || { kill "$serve_pid" 2> /dev/null; echo "serve smoke: hostile frame not answered"; exit 1; }
 smoke_out="$(./target/release/polysig-serve load \
   --addr "127.0.0.1:$(cat "$smoke_dir/port")" \
   --requests 64 --concurrency 8 --adversarial 1 --adversarial-instants 128)" \

@@ -86,7 +86,9 @@ pub enum OracleKind {
     /// The serving engine must be a transparent cache: a cold request, a
     /// warm cache hit, and every response of a batched duplicate submission
     /// must carry payloads field-for-field identical to direct library
-    /// calls on the same source, scenario and (budget-clamped) options.
+    /// calls on the same source, scenario and (budget-clamped) options, and
+    /// the cold answer and the hit as the server sends them must be byte
+    /// for byte the rendering of that direct outcome.
     ServeEquiv,
     /// The static federated-deployment analyzer (`PA008`/`PA009`) must
     /// agree with the live runtime: a deployment the analyzer proves
@@ -1161,13 +1163,18 @@ fn static_dynamic_agreement(case: &GenCase) -> Result<(), Failure> {
 /// The serving engine is a transparent cache: cold execution, a warm
 /// cache hit, and batched duplicate submission must all return payloads
 /// field-for-field identical to direct library calls with the same
-/// (budget-clamped) options the engine derives for the request.
+/// (budget-clamped) options the engine derives for the request. On the
+/// wire, the cold answer and the hit must be byte for byte the rendering
+/// of a response carrying that direct outcome.
 fn serve_equiv(case: &GenCase) -> Result<(), Failure> {
     use polysig::serve::engine::{Engine, EngineConfig};
-    use polysig::serve::proto::{Outcome, ParseSummary, PipelineReport, Request, RequestKind};
+    use polysig::serve::proto::{
+        Outcome, ParseSummary, PipelineReport, Request, RequestKind, Response,
+    };
     use polysig::serve::Served;
     use polysig_analyze::{analyze_program, analyze_with_scenario};
     use polysig_gals::Estimator;
+    use std::sync::Arc;
 
     let k = OracleKind::ServeEquiv;
     let source = pretty_program(&case.program);
@@ -1175,29 +1182,19 @@ fn serve_equiv(case: &GenCase) -> Result<(), Failure> {
     let mut req = Request::new(1, RequestKind::Pipeline, source.clone());
     req.scenario = case.est_scenario.as_ref().map(Scenario::to_text);
 
-    // cold execution
-    let cold = engine.submit(&req);
-    if cold.served != Served::Cold {
-        return Err(Failure::new(k, format!("first submission served {:?}", cold.served)));
-    }
-    // warm cache hit: identical payload
+    // cold execution, then a warm cache hit, both as the server sends them
+    let cold_wire = engine.submit_wire(&req);
+    let hit_req = Request { id: 2, ..req.clone() };
+    let hit_wire = engine.submit_wire(&hit_req);
+    // the typed hit path: identical payload
     let warm = engine.submit(&req);
     if warm.served != Served::Hit {
-        return Err(Failure::new(k, format!("second submission served {:?}", warm.served)));
-    }
-    if warm.outcome != cold.outcome {
-        return Err(Failure::new(k, "cache hit returned a different payload than the cold run"));
+        return Err(Failure::new(k, format!("repeat submission served {:?}", warm.served)));
     }
     // batched duplicates: one execution, identical payloads throughout
-    let batch: Vec<Request> = (0..4)
-        .map(|i| {
-            let mut r = req.clone();
-            r.id = 10 + i;
-            r
-        })
-        .collect();
+    let batch: Vec<Request> = (0..4).map(|i| Request { id: 10 + i, ..req.clone() }).collect();
     for resp in engine.submit_many(&batch, 4) {
-        if resp.outcome != cold.outcome {
+        if resp.outcome != warm.outcome {
             return Err(Failure::new(k, "batched duplicate returned a different payload"));
         }
     }
@@ -1210,73 +1207,57 @@ fn serve_equiv(case: &GenCase) -> Result<(), Failure> {
     }
 
     // the reference: direct library calls on the same source and options
-    let program = match polysig_lang::check_program(&source) {
-        Ok(p) => p,
-        Err(e) => {
-            return match &*cold.outcome {
-                Outcome::SourceError { stage, message }
-                    if stage == "resolve" && *message == e.to_string() =>
-                {
-                    Ok(())
-                }
-                other => Err(Failure::new(
-                    k,
-                    format!("library rejects the source (`{e}`) but the server served {other:?}"),
-                )),
+    let source_error =
+        |stage: &str, e: String| Outcome::SourceError { stage: stage.into(), message: e };
+    let scenario = req
+        .scenario
+        .as_deref()
+        .map(Scenario::from_text)
+        .transpose()
+        .map_err(|e| Failure::new(k, format!("scenario does not round-trip: {e}")))?;
+    let expected = match polysig_lang::check_program(&source) {
+        Err(e) => source_error("resolve", e.to_string()),
+        Ok(program) => {
+            let analysis = match &scenario {
+                Some(s) => analyze_with_scenario(&program, s, &ProveOptions::default()),
+                None => analyze_program(&program),
             };
-        }
-    };
-    let scenario = match &req.scenario {
-        Some(text) => Some(
-            Scenario::from_text(text)
-                .map_err(|e| Failure::new(k, format!("scenario does not round-trip: {e}")))?,
-        ),
-        None => None,
-    };
-    let analysis = match &scenario {
-        Some(s) => analyze_with_scenario(&program, s, &ProveOptions::default()),
-        None => analyze_program(&program),
-    };
-    let estimation = match &scenario {
-        Some(s) => {
-            let direct = Estimator::new(&program)
-                .and_then(|mut est| est.estimate(s, &engine.estimation_options(&req)));
-            match direct {
-                Ok(report) => Some(report),
-                Err(e) => {
-                    // the engine must have failed the same way
-                    return match &*cold.outcome {
-                        Outcome::SourceError { stage, message }
-                            if stage == "estimate" && *message == e.to_string() =>
-                        {
-                            Ok(())
-                        }
-                        other => Err(Failure::new(
-                            k,
-                            format!(
-                                "direct estimation errs (`{e}`) but the server served {other:?}"
-                            ),
-                        )),
-                    };
-                }
+            let estimation = scenario.as_ref().map(|s| {
+                Estimator::new(&program)
+                    .and_then(|mut est| est.estimate(s, &engine.estimation_options(&req)))
+            });
+            match estimation.transpose() {
+                Err(e) => source_error("estimate", e.to_string()),
+                Ok(estimation) => Outcome::Pipeline(Box::new(PipelineReport {
+                    parse: ParseSummary::of(&program),
+                    analysis,
+                    estimation,
+                    check: None,
+                })),
             }
         }
-        None => None,
     };
-    let expected = Outcome::Pipeline(Box::new(PipelineReport {
-        parse: ParseSummary::of(&program),
-        analysis,
-        estimation,
-        check: None,
-    }));
-    if *cold.outcome != expected {
+    if *warm.outcome != expected {
         return Err(Failure::new(
             k,
             format!(
                 "served payload differs from direct library calls:\nserved   {:?}\nexpected {:?}",
-                cold.outcome, expected
+                warm.outcome, expected
             ),
         ));
+    }
+    let expected = Arc::new(expected);
+    for (wire, id, served) in [(cold_wire, 1, Served::Cold), (hit_wire, 2, Served::Hit)] {
+        let want = Response { id, served, outcome: Arc::clone(&expected) }.to_json();
+        if wire != want {
+            return Err(Failure::new(
+                k,
+                format!(
+                    "{served:?} answer on the wire differs from the direct outcome's \
+                     rendering:\nserved   {wire}\nexpected {want}"
+                ),
+            ));
+        }
     }
     Ok(())
 }

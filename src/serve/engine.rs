@@ -13,9 +13,10 @@
 //! `ThreadInvariance` oracle), so thread count cannot change an answer.
 //!
 //! Two caches share the configured byte budget: a **result cache**
-//! (terminal [`Outcome`]s by request key) and a **program cache**
-//! (resolved [`Program`]s plus their reusable [`Estimator`] skeleton, by
-//! source key). Only successful outcomes are cached — errors and budget
+//! (terminal [`Outcome`]s by request key, each with its payload text
+//! rendered once on the miss, so a hit on the wire is one copy of bytes)
+//! and a **program cache** (resolved [`Program`]s plus their reusable
+//! [`Estimator`] skeleton, by source key). Only successful outcomes are cached — errors and budget
 //! breaches are cheap to recompute and must not shadow a later fix.
 //!
 //! ## Single-flight
@@ -50,7 +51,8 @@ use polysig_sim::Scenario;
 use polysig_verify::{check, Alphabet, CheckOptions, Property, VerifyError};
 
 use super::proto::{
-    CheckSummary, Outcome, ParseSummary, PipelineReport, Request, RequestKind, Response, Served,
+    render_payload, write_envelope, CheckSummary, Outcome, ParseSummary, PipelineReport, Request,
+    RequestKind, Response, Served,
 };
 
 /// Integer alphabet the `check` stage explores. Part of the protocol
@@ -92,10 +94,24 @@ struct ProgramEntry {
     estimator: Mutex<Option<Estimator>>,
 }
 
+/// A request's answer: the outcome and its payload as JSON text. The
+/// result cache holds these, so the text is rendered once, on the miss.
+struct Answer {
+    outcome: Arc<Outcome>,
+    payload: String,
+}
+
+impl Answer {
+    fn new(outcome: Outcome) -> Arc<Answer> {
+        let payload = render_payload(&outcome);
+        Arc::new(Answer { outcome: Arc::new(outcome), payload })
+    }
+}
+
 struct Inner {
-    results: ByteLru<ContentHash, Arc<Outcome>>,
+    results: ByteLru<ContentHash, Arc<Answer>>,
     programs: ByteLru<ContentHash, Arc<ProgramEntry>>,
-    inflight: HashMap<ContentHash, Vec<mpsc::Sender<Arc<Outcome>>>>,
+    inflight: HashMap<ContentHash, Vec<mpsc::Sender<Arc<Answer>>>>,
     coalesced: u64,
     budget_breaches: u64,
     executed: u64,
@@ -247,44 +263,59 @@ impl Engine {
     /// Serves one request: result-cache hit, coalesce onto an identical
     /// in-flight computation, or execute cold.
     pub fn submit(&self, req: &Request) -> Response {
+        let (served, answer) = self.answer(req);
+        Response { id: req.id, served, outcome: Arc::clone(&answer.outcome) }
+    }
+
+    /// Serves one request like [`Engine::submit`] and returns the response
+    /// document the server sends, byte for byte `submit(req).to_json()`.
+    /// The payload text comes from the cache entry, so a hit renders
+    /// nothing: it copies the cached bytes into a fresh envelope.
+    pub fn submit_wire(&self, req: &Request) -> String {
+        let (served, answer) = self.answer(req);
+        write_envelope(req.id, served, &answer.outcome, &answer.payload)
+    }
+
+    fn answer(&self, req: &Request) -> (Served, Arc<Answer>) {
         let key = self.request_key(req);
         {
             let mut inner = self.inner.lock().expect("engine lock");
-            if let Some(outcome) = inner.results.get(&key) {
-                return Response { id: req.id, served: Served::Hit, outcome: Arc::clone(outcome) };
+            if let Some(answer) = inner.results.get(&key) {
+                return (Served::Hit, Arc::clone(answer));
             }
             if let Some(waiters) = inner.inflight.get_mut(&key) {
                 let (tx, rx) = mpsc::channel();
                 waiters.push(tx);
                 inner.coalesced += 1;
                 drop(inner);
-                let outcome = rx.recv().unwrap_or_else(|_| {
-                    Arc::new(Outcome::SourceError {
+                let answer = rx.recv().unwrap_or_else(|_| {
+                    Answer::new(Outcome::SourceError {
                         stage: "serve".into(),
                         message: "in-flight computation dropped".into(),
                     })
                 });
-                return Response { id: req.id, served: Served::Coalesced, outcome };
+                return (Served::Coalesced, answer);
             }
             inner.inflight.insert(key, Vec::new());
         }
-        let outcome = Arc::new(self.execute(req));
+        // rendered here, outside the lock, and never again for this key
+        let answer = Answer::new(self.execute(req));
         {
             let mut inner = self.inner.lock().expect("engine lock");
             inner.executed += 1;
-            if matches!(&*outcome, Outcome::BudgetExceeded { .. }) {
+            if matches!(&*answer.outcome, Outcome::BudgetExceeded { .. }) {
                 inner.budget_breaches += 1;
             }
-            if cacheable(&outcome) {
-                let cost = outcome_cost(&outcome);
-                inner.results.insert(key, Arc::clone(&outcome), cost);
+            if cacheable(&answer.outcome) {
+                let cost = outcome_cost(&answer.outcome) + answer.payload.len();
+                inner.results.insert(key, Arc::clone(&answer), cost);
             }
             let waiters = inner.inflight.remove(&key).unwrap_or_default();
             for w in waiters {
-                let _ = w.send(Arc::clone(&outcome));
+                let _ = w.send(Arc::clone(&answer));
             }
         }
-        Response { id: req.id, served: Served::Cold, outcome }
+        (Served::Cold, answer)
     }
 
     /// Fans `requests` across `threads` workers (same-keyed requests
@@ -569,6 +600,21 @@ mod tests {
         assert_eq!(stats.executed, 1);
         assert_eq!(stats.results.hits, 1);
         assert_eq!(stats.results.insertions, 1);
+    }
+
+    #[test]
+    fn wire_answers_are_the_rendered_responses() {
+        let engine = Engine::new(EngineConfig::default());
+        let cold = engine.submit_wire(&pipeline_request(1, PIPE));
+        let hit = engine.submit_wire(&pipeline_request(2, PIPE));
+        let outcome = engine.submit(&pipeline_request(3, PIPE)).outcome;
+        let rendered =
+            |id, served| Response { id, served, outcome: Arc::clone(&outcome) }.to_json();
+        assert_eq!(cold, rendered(1, Served::Cold));
+        assert_eq!(hit, rendered(2, Served::Hit));
+        // the cached payload text is charged to the result cache's budget
+        let used = engine.inner.lock().expect("engine lock").results.used_bytes();
+        assert_eq!(used, outcome_cost(&outcome) + render_payload(&outcome).len());
     }
 
     #[test]

@@ -7,6 +7,13 @@
 
 use std::fmt::Write as _;
 
+/// How deep arrays and objects may nest in a parsed document. The parser
+/// recurses once per level, so the limit is what keeps a hostile frame
+/// from overflowing the stack of the thread decoding it; the deepest
+/// document the library emits nests 6 levels (response, payload,
+/// estimation, history, round, sizes).
+pub const MAX_DEPTH: usize = 64;
+
 /// A JSON value. Numbers are `i64` — the protocol never needs fractions,
 /// and integer round-tripping stays exact.
 #[derive(Debug, Clone, PartialEq)]
@@ -100,10 +107,13 @@ impl Json {
     }
 
     /// Parses one JSON document (trailing garbage is an error).
+    ///
+    /// Arrays and objects may nest at most [`MAX_DEPTH`] deep; a deeper
+    /// document is an error, not a stack overflow.
     pub fn parse(src: &str) -> Result<Json, String> {
-        let bytes = src.as_bytes();
         let mut pos = 0;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(src, &mut pos, 0)?;
+        let bytes = src.as_bytes();
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing input at byte {pos}"));
@@ -145,14 +155,19 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses the value at `pos`, inside `depth` open arrays and objects.
+fn parse_value(src: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let b = src.as_bytes();
     skip_ws(b, pos);
+    if matches!(b.get(*pos), Some(b'[' | b'{')) && depth == MAX_DEPTH {
+        return Err(format!("nesting deeper than {MAX_DEPTH} levels at byte {}", *pos));
+    }
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'n') => parse_lit(b, pos, "null", Json::Null),
         Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
-        Some(b'"') => parse_string(b, pos).map(Json::Str),
+        Some(b'"') => parse_string(src, pos).map(Json::Str),
         Some(b'[') => {
             *pos += 1;
             let mut items = Vec::new();
@@ -162,7 +177,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(src, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -184,10 +199,10 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
+                let key = parse_string(src, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, b':')?;
-                let value = parse_value(b, pos)?;
+                let value = parse_value(src, pos, depth + 1)?;
                 members.push((key, value));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -232,17 +247,25 @@ fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Json) -> Result<Json, Stri
     }
 }
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(src: &str, pos: &mut usize) -> Result<String, String> {
+    let b = src.as_bytes();
     expect(b, pos, b'"')?;
     let mut out = String::new();
     loop {
+        // copy the run up to the next quote or backslash in one go: both
+        // are ASCII, so the run ends on a char boundary of `src`
+        let run = b[*pos..].iter().position(|&c| c == b'"' || c == b'\\');
+        let end = run.map_or(b.len(), |n| *pos + n);
+        out.push_str(&src[*pos..end]);
+        *pos = end;
         match b.get(*pos) {
             None => return Err("unterminated string".into()),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            Some(_) => {
+                // a backslash: one escape
                 *pos += 1;
                 match b.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -270,13 +293,6 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     _ => return Err(format!("bad escape at byte {}", *pos)),
                 }
                 *pos += 1;
-            }
-            Some(_) => {
-                // consume one UTF-8 scalar
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|_| "invalid UTF-8")?;
-                let c = rest.chars().next().expect("non-empty checked");
-                out.push(c);
-                *pos += c.len_utf8();
             }
         }
     }
@@ -308,5 +324,81 @@ mod tests {
         assert!(Json::parse("1.5").is_err());
         assert!(Json::parse("{\"a\":}").is_err());
         assert!(Json::parse("\"\\q\"").is_err());
+    }
+
+    /// One piece of a generated string: its value, and a spelling inside
+    /// a JSON string literal that the parser must read back as that value.
+    const PIECES: &[(&str, &str)] = &[
+        ("a", "a"),
+        ("an ASCII run", "an ASCII run"),
+        ("é", "é"),
+        ("ß", "ß"),
+        ("€", "€"),
+        ("中", "中"),
+        ("𝄞", "𝄞"),
+        ("😀", "😀"),
+        ("\"", "\\\""),
+        ("\\", "\\\\"),
+        ("/", "\\/"),
+        ("\u{8}", "\\b"),
+        ("\u{c}", "\\f"),
+        ("\n", "\\n"),
+        ("\r", "\\r"),
+        ("\t", "\\t"),
+        ("\u{1}", "\\u0001"),
+        ("é", "\\u00e9"),
+        ("€", "\\u20AC"),
+        ("\u{1}", "\u{1}"),
+        ("\u{1f}", "\u{1f}"),
+        ("\n", "\n"),
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        /// Rendering then parsing is the identity on strings, and every
+        /// spelling the parser accepts decodes to its value, wherever the
+        /// quotes, backslashes and multi-byte characters fall.
+        #[test]
+        fn strings_round_trip(
+            pieces in proptest::collection::vec(proptest::sample::select(PIECES.to_vec()), 0..48)
+        ) {
+            let value: String = pieces.iter().map(|(v, _)| *v).collect();
+            let spelled: String = pieces.iter().map(|(_, s)| *s).collect();
+            let rendered = Json::Str(value.clone()).render();
+            proptest::prop_assert_eq!(Json::parse(&rendered), Ok(Json::Str(value.clone())));
+            let doc = format!("{{\"{spelled}\":[\"{spelled}\"]}}");
+            let want = Json::Obj(vec![(value.clone(), Json::Arr(vec![Json::Str(value)]))]);
+            proptest::prop_assert_eq!(Json::parse(&doc), Ok(want));
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let arrays = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let objects = |n: usize| format!("{}0{}", "{\"k\":".repeat(n), "}".repeat(n));
+        assert!(Json::parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&objects(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&arrays(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err, format!("nesting deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}"));
+        assert!(Json::parse(&objects(MAX_DEPTH + 1)).is_err());
+        // deep enough to overflow a thread's stack if each level recursed
+        assert!(Json::parse(&arrays(1 << 20)).is_err());
+    }
+
+    #[test]
+    fn a_one_mebibyte_source_decodes_in_linear_time() {
+        use crate::serve::proto::{Request, RequestKind};
+        use std::time::{Duration, Instant};
+        let line = "process P { input a: int; output x: int; x := a + 1; } // \"é\"\n";
+        let source = line.repeat((1 << 20) / line.len() + 1);
+        let text = Request::new(1, RequestKind::Parse, source.as_str()).to_json();
+        let start = Instant::now();
+        let req = Request::from_json(&text).expect("decodes");
+        let took = start.elapsed();
+        assert_eq!(req.source, source);
+        // a decoder that rescans the rest of the frame per character needs
+        // seconds here even in a release build
+        assert!(took < Duration::from_secs(2), "1 MiB source took {took:?} to decode");
     }
 }

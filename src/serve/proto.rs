@@ -10,6 +10,7 @@
 //! equality against a direct library call is plain `==` — the `ServeEquiv`
 //! oracle's whole comparison.
 
+use std::fmt::Write as _;
 use std::io::{self, Read, Write};
 
 use polysig_analyze::AnalysisReport;
@@ -375,7 +376,8 @@ impl Outcome {
 ///
 /// The outcome is shared, not owned: cache hits and coalesced waiters
 /// hand out the stored payload by reference count instead of deep-cloning
-/// report trees, which is what keeps the hit path microseconds-cheap.
+/// report trees. On the wire a hit does not render this value at all: the
+/// engine caches the payload text beside it (see `Engine::submit_wire`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Response {
     /// The request's correlation id.
@@ -458,40 +460,58 @@ impl Response {
     /// The response as a JSON document. Serialization is deterministic:
     /// identical responses render to identical bytes.
     pub fn to_json(&self) -> String {
-        let payload = match &*self.outcome {
-            Outcome::Parsed(p) => parse_summary_json(p),
-            Outcome::Analysis(a) => analysis_json(a),
-            Outcome::Estimation(e) => estimation_json(e),
-            Outcome::Checked(c) => check_summary_json(c),
-            Outcome::Pipeline(p) => {
-                let mut members = vec![
-                    ("parse".to_string(), parse_summary_json(&p.parse)),
-                    ("analysis".to_string(), analysis_json(&p.analysis)),
-                ];
-                if let Some(e) = &p.estimation {
-                    members.push(("estimation".into(), estimation_json(e)));
-                }
-                if let Some(c) = &p.check {
-                    members.push(("check".into(), check_summary_json(c)));
-                }
-                Json::Obj(members)
-            }
-            Outcome::SourceError { stage, message } => Json::Obj(vec![
-                ("stage".into(), Json::Str(stage.clone())),
-                ("message".into(), Json::Str(message.clone())),
-            ]),
-            Outcome::BudgetExceeded { reason } => {
-                Json::Obj(vec![("reason".into(), Json::Str(reason.clone()))])
-            }
-        };
-        Json::Obj(vec![
-            ("id".into(), Json::Num(self.id as i64)),
-            ("served".into(), Json::Str(self.served.as_str().into())),
-            ("outcome".into(), Json::Str(self.outcome.tag().into())),
-            ("payload".into(), payload),
-        ])
-        .render()
+        write_envelope(self.id, self.served, &self.outcome, &render_payload(&self.outcome))
     }
+}
+
+/// An outcome's payload as JSON text: the value of a response document's
+/// `payload` member.
+pub(crate) fn render_payload(outcome: &Outcome) -> String {
+    let payload = match outcome {
+        Outcome::Parsed(p) => parse_summary_json(p),
+        Outcome::Analysis(a) => analysis_json(a),
+        Outcome::Estimation(e) => estimation_json(e),
+        Outcome::Checked(c) => check_summary_json(c),
+        Outcome::Pipeline(p) => {
+            let mut members = vec![
+                ("parse".to_string(), parse_summary_json(&p.parse)),
+                ("analysis".to_string(), analysis_json(&p.analysis)),
+            ];
+            if let Some(e) = &p.estimation {
+                members.push(("estimation".into(), estimation_json(e)));
+            }
+            if let Some(c) = &p.check {
+                members.push(("check".into(), check_summary_json(c)));
+            }
+            Json::Obj(members)
+        }
+        Outcome::SourceError { stage, message } => Json::Obj(vec![
+            ("stage".into(), Json::Str(stage.clone())),
+            ("message".into(), Json::Str(message.clone())),
+        ]),
+        Outcome::BudgetExceeded { reason } => {
+            Json::Obj(vec![("reason".into(), Json::Str(reason.clone()))])
+        }
+    };
+    payload.render()
+}
+
+/// The response document around `payload`, the text [`render_payload`]
+/// made for `outcome`. The bytes are those of rendering the whole
+/// response as one [`Json`] object: the tags need no escaping, and the id
+/// goes out as the protocol's signed integer.
+pub(crate) fn write_envelope(id: u64, served: Served, outcome: &Outcome, payload: &str) -> String {
+    let mut out = String::with_capacity(payload.len() + 64);
+    let _ = write!(
+        out,
+        "{{\"id\":{},\"served\":\"{}\",\"outcome\":\"{}\",\"payload\":",
+        id as i64,
+        served.as_str(),
+        outcome.tag()
+    );
+    out.push_str(payload);
+    out.push('}');
+    out
 }
 
 /// The response envelope as a client sees it — the generic fields every

@@ -85,14 +85,15 @@ fn handle_connection(mut stream: TcpStream, engine: &Engine) {
         let decoded =
             std::str::from_utf8(&frame).map_err(|e| e.to_string()).and_then(Request::from_json);
         let response = match decoded {
-            Ok(req) => engine.submit(&req),
+            Ok(req) => engine.submit_wire(&req),
             Err(message) => Response {
                 id: 0,
                 served: Served::Cold,
                 outcome: Arc::new(Outcome::SourceError { stage: "protocol".into(), message }),
-            },
+            }
+            .to_json(),
         };
-        if write_frame(&mut stream, response.to_json().as_bytes()).is_err() {
+        if write_frame(&mut stream, response.as_bytes()).is_err() {
             return;
         }
     }
@@ -139,6 +140,7 @@ impl Client {
 mod tests {
     use super::*;
     use crate::serve::engine::EngineConfig;
+    use crate::serve::json::Json;
     use crate::serve::loadgen::{run_load, LoadOptions, PIPE_SCENARIO, WARM_SOURCE};
     use crate::serve::proto::RequestKind;
 
@@ -169,6 +171,25 @@ mod tests {
             super::super::proto::Envelope::from_json(std::str::from_utf8(&frame).expect("utf8"))
                 .expect("decode");
         assert_eq!(env.outcome, "source_error");
+    }
+
+    #[test]
+    fn a_deeply_nested_frame_is_answered_and_the_connection_keeps_serving() {
+        let addr = spawn_server(EngineConfig::default());
+        let mut client = Client::connect(&addr).expect("connect");
+        // 20 KB that would recurse 10 000 levels deep on the connection
+        // thread's stack
+        let hostile = format!("{}{}", "[".repeat(10_000), "]".repeat(10_000));
+        write_frame(client.stream_mut(), hostile.as_bytes()).expect("send the hostile frame");
+        let frame = read_frame(client.stream_mut()).expect("read").expect("an answer, not EOF");
+        let reply = Json::parse(std::str::from_utf8(&frame).expect("utf8")).expect("decode");
+        assert_eq!(reply.get("outcome").and_then(Json::as_str), Some("source_error"));
+        let stage = reply.get("payload").and_then(|p| p.get("stage")).and_then(Json::as_str);
+        assert_eq!(stage, Some("protocol"));
+        let mut req = Request::new(8, RequestKind::Pipeline, WARM_SOURCE);
+        req.scenario = Some(PIPE_SCENARIO.into());
+        let env = client.call(&req).expect("served after the hostile frame");
+        assert_eq!((env.id, env.served.as_str(), env.outcome.as_str()), (8, "cold", "pipeline"));
     }
 
     #[test]

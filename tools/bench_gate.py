@@ -30,10 +30,13 @@ each robust to per-id mode flips:
   is environmental; beyond a mode step plus the threshold is a real
   per-id regression (the accidental-clone / lost-cache class).
 * **serve cache contract** — within at least one fresh file (so both
-  sides share a process), `serve/cold_pipe` must be `CACHE_FLOOR`x
-  slower than `serve/warm_hit`. This pins the content-hash hit path
-  absolutely: in practice the ratio is 50-100x, and no combination of
-  mode flips drags a working cache below the floor.
+  sides share a process), `serve/cold_pipe` must be `SERVE_FLOORS[id]`x
+  slower than each hit row: 30x for `serve/warm_hit`, the engine's
+  content-hash hit, and 10x for `serve/wire_hit`, the same hit through
+  the request decoder, the engine's wire path and the client's envelope
+  decoder. This pins both hit paths absolutely: in practice the ratios
+  are 50-130x and 20-40x, and no combination of mode flips drags a
+  working cache or a linear codec below its floor.
 
 The per-id table still marks ids beyond the 30% threshold (`warn`) so
 a human can watch for creep; only the three checks above fail the run.
@@ -62,8 +65,8 @@ GATED_PREFIXES = (
 # once they exceed a full step plus the threshold.
 MODE_STEP = 2.0
 
-# Minimum within-process cold/warm ratio for the serve cache hit path.
-CACHE_FLOOR = 30.0
+# Minimum within-process ratio of `serve/cold_pipe` to each serve hit row.
+SERVE_FLOORS = {"serve/warm_hit": 30.0, "serve/wire_hit": 10.0}
 
 
 def main() -> int:
@@ -136,19 +139,20 @@ def main() -> int:
             "the whole suite regressed together"
         )
 
-    cache_ratios = [
-        run["serve/cold_pipe"] / run["serve/warm_hit"]
-        for run in runs
-        if run.get("serve/warm_hit") and run.get("serve/cold_pipe")
-    ]
-    if cache_ratios:
+    for hit_id, floor in SERVE_FLOORS.items():
+        cache_ratios = [
+            run["serve/cold_pipe"] / run[hit_id]
+            for run in runs
+            if run.get(hit_id) and run.get("serve/cold_pipe")
+        ]
+        if not cache_ratios:
+            continue
         best = max(cache_ratios)
-        print(f"serve cache contract: best within-run cold/warm ratio {best:.1f}x")
-        if best < CACHE_FLOOR:
+        print(f"serve cache contract: best within-run serve/cold_pipe / {hit_id} ratio {best:.1f}x")
+        if best < floor:
             failures.append(
-                f"serve/cold_pipe is only {best:.1f}x serve/warm_hit "
-                f"(floor {CACHE_FLOOR:.0f}x): the content-hash hit path lost "
-                "its advantage"
+                f"serve/cold_pipe is only {best:.1f}x {hit_id} "
+                f"(floor {floor:.0f}x): the hit path lost its advantage"
             )
 
     if failures:
@@ -156,9 +160,10 @@ def main() -> int:
             print(f"bench gate: {failure}")
         print(f"bench gate: {len(failures)} failure(s)")
         return 1
+    floors = ", ".join(f"{hit_id} {floor:.0f}x" for hit_id, floor in SERVE_FLOORS.items())
     print(
         f"bench gate: ok (batch {threshold:.0%}, per-id cap {cap:.2f}x, "
-        f"cache floor {CACHE_FLOOR:.0f}x)"
+        f"serve floors {floors})"
     )
     return 0
 
