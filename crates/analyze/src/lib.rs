@@ -207,7 +207,11 @@ pub fn analyze_program(program: &Program) -> AnalysisReport {
             ),
             None => Diagnostic::new(
                 LintCode::StaticSchedule,
-                "component has no static schedule: reactions run on the micro-step interpreter",
+                format!(
+                    "component has no static schedule{}: reactions run on the micro-step \
+                     interpreter",
+                    reactor.lower_failure().map(|why| format!(" ({why})")).unwrap_or_default()
+                ),
             )
             .suggest(
                 "root the clock hierarchy in the inputs (see PA001/PA002) so the schedule \
@@ -316,6 +320,27 @@ mod tests {
         assert!(json.contains("static schedule of"));
         assert!(json.contains("\"P\":\"endochronous\""));
         assert!(json.contains("\"deny\":0"));
+    }
+
+    #[test]
+    fn the_no_schedule_note_says_why() {
+        // `s`'s clock is a free superset of `set`'s: nothing decided
+        // witnesses it
+        let p = parse_program(
+            "process R { input set: int; output s: int; s := set default (pre 0 s); }",
+        )
+        .unwrap();
+        let report = analyze_program(&p);
+        let note = report
+            .diagnostics
+            .iter()
+            .find(|d| d.code == LintCode::StaticSchedule)
+            .expect("a PA007 note per component");
+        assert_eq!(
+            note.message,
+            "component has no static schedule (`s` has no clock witness once every other \
+             equation is placed): reactions run on the micro-step interpreter"
+        );
     }
 
     #[test]

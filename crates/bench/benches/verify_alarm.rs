@@ -58,6 +58,35 @@ fn run_bmc(size: usize, w: usize, depth: usize) -> polysig_verify::CheckResult {
     .unwrap()
 }
 
+/// BMC under a free-choice write frame, the environment shape of
+/// perfbench's verify_sweep: `w` writes, each of one of four values chosen
+/// freely, then `w` reads. The write states branch, so their moves keep
+/// fresh selection literals and the solver searches and minimizes over
+/// real choices.
+fn run_bmc_choice(size: usize, w: usize, depth: usize) -> polysig_verify::CheckResult {
+    const VALUES: usize = 4;
+    let d = desynchronize(&pipe(), &DesyncOptions::with_size(size)).unwrap();
+    let mut letters: Vec<Letter> = (1..=VALUES as i64)
+        .map(|v| [("tick".into(), Value::TRUE), ("a".into(), Value::Int(v))].into())
+        .collect();
+    letters.push([("tick".into(), Value::TRUE), ("x_rd".into(), Value::TRUE)].into());
+    let alphabet = Alphabet::from_letters(letters).unwrap();
+    let mut env = EnvAutomaton::with_states(2 * w);
+    for s in 0..w {
+        for letter in 0..VALUES {
+            env.allow(s, letter, s + 1);
+        }
+        env.allow(w + s, VALUES, (w + s + 1) % (2 * w));
+    }
+    check(
+        &d.program,
+        &alphabet,
+        &Property::never_true("x_alarm"),
+        &CheckOptions { env: Some(env), backend: Backend::Bmc { depth }, ..Default::default() },
+    )
+    .unwrap()
+}
+
 fn bench(c: &mut Criterion) {
     banner("E7 / Section 5.2", "alarm reachability vs buffer depth (2-write frames)");
     eprintln!("{:>6} | {:>8} | {:>12} | verdict", "depth", "states", "transitions");
@@ -84,11 +113,21 @@ fn bench(c: &mut Criterion) {
             b.iter(|| std::hint::black_box(run_check(3, w, 1).states_explored))
         });
     }
-    // symbolic backend on the same fixtures: encode + CDCL solve replaces
-    // explicit enumeration, so the cost profile is formula size, not state
-    // count
+    // symbolic backend on the same fixtures: every move of a cycle
+    // automaton is forced, so these two fold to constants while encoding
+    // and time the encoder alone
     group.bench_function("bmc_frame2", |b| b.iter(|| std::hint::black_box(run_bmc(2, 2, 4).holds)));
     group.bench_function("bmc_pipe8", |b| b.iter(|| std::hint::black_box(run_bmc(3, 2, 8).holds)));
+    // free-choice writes keep the solver on the path: depth 2 under
+    // 3-write frames overflows at the third write, found and minimized at
+    // BMC depth 3
+    group.bench_function("bmc_choice_frame3", |b| {
+        b.iter(|| {
+            let r = run_bmc_choice(2, 3, 6);
+            assert_eq!(r.counterexample.as_ref().map(|c| c.len()), Some(3));
+            std::hint::black_box(r.holds)
+        })
+    });
     // layer-parallel exploration at fixed worker counts
     for threads in [2usize, 4] {
         for size in [2usize, 4] {

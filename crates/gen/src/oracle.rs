@@ -59,7 +59,10 @@ pub enum OracleKind {
     /// already replayed concretely before reporting). Cases the symbolic
     /// backend cannot encode (`BmcUnsupported`) or where the explicit
     /// checker errors (e.g. overflow paths, which BMC prunes as
-    /// infeasible) are skipped, never misjudged.
+    /// infeasible) are skipped, never misjudged. Two legs: the scenario's
+    /// cycle, whose forced moves fold the unrolling to constants, and the
+    /// same cycle with its first state open to every letter, which leaves
+    /// the SAT search and the minimization a real choice.
     BmcEquiv,
     /// The incremental estimation engine must produce a report identical to
     /// the cold reference engine.
@@ -547,34 +550,76 @@ fn thread_invariance(case: &GenCase) -> Result<(), Failure> {
     Ok(())
 }
 
+/// How one leg of [`OracleKind::BmcEquiv`] ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BmcLeg {
+    /// Both engines answered, and agreed.
+    Compared,
+    /// The symbolic backend cannot encode the case (`BmcUnsupported`).
+    Unsupported,
+    /// The explicit checker erred, so there is nothing to compare with.
+    ExplicitError,
+}
+
+fn bmc_equiv(case: &GenCase) -> Result<(), Failure> {
+    bmc_equiv_legs(case).map(|_| ())
+}
+
 /// Cross-validates the symbolic BMC backend against the explicit checker
 /// on the scenario cycled as an environment automaton, at the scenario's
 /// own depth: the two engines must agree on the verdict, and on a
 /// violation the symbolic trace (already concretely replayed by the
 /// backend) must equal the explicit BFS counterexample letter for letter.
-fn bmc_equiv(case: &GenCase) -> Result<(), Failure> {
-    let k = OracleKind::BmcEquiv;
+/// The second leg opens the cycle's first state to every letter of the
+/// alphabet. Returns how each leg ended (none for a case without a
+/// scenario or an invariance property).
+///
+/// # Errors
+///
+/// A [`Failure`] when the engines disagree or the symbolic backend errs.
+pub fn bmc_equiv_legs(case: &GenCase) -> Result<Vec<BmcLeg>, Failure> {
     if case.scenario.is_empty() {
-        return Ok(());
+        return Ok(Vec::new());
     }
-    let Some(property) = invariance_property(&case.program) else { return Ok(()) };
+    let Some(property) = invariance_property(&case.program) else { return Ok(Vec::new()) };
     let mut letters: Vec<Letter> = Vec::new();
     for step in case.scenario.iter() {
         if !letters.contains(step) {
             letters.push(step.clone());
         }
     }
-    let Ok(mut alphabet) = Alphabet::from_letters(letters) else { return Ok(()) };
+    let Ok(mut alphabet) = Alphabet::from_letters(letters) else { return Ok(Vec::new()) };
     let sequence: Vec<Letter> = case.scenario.iter().cloned().collect();
-    let env = EnvAutomaton::cycle(&mut alphabet, &sequence);
+    let cycle = EnvAutomaton::cycle(&mut alphabet, &sequence);
+    let mut open = cycle.clone();
+    let successor = cycle.moves(0).map(|(_, to)| to).next().expect("a cycle state has a move");
+    for li in 0..alphabet.len() {
+        if open.moves(0).all(|(l, _)| l != li) {
+            open.allow(0, li, successor);
+        }
+    }
     // both engines are cut at the same horizon, so the comparison stays
     // exact; capping bounds the cost of unrolling long scenarios
     let depth = case.scenario.len().min(10);
+    [("cycle", cycle), ("open cycle", open)]
+        .into_iter()
+        .map(|(leg, env)| bmc_leg(leg, &case.program, &alphabet, &property, env, depth))
+        .collect()
+}
 
+fn bmc_leg(
+    leg: &str,
+    program: &Program,
+    alphabet: &Alphabet,
+    property: &Property,
+    env: EnvAutomaton,
+    depth: usize,
+) -> Result<BmcLeg, Failure> {
+    let k = OracleKind::BmcEquiv;
     let explicit = match check(
-        &case.program,
-        &alphabet,
-        &property,
+        program,
+        alphabet,
+        property,
         &CheckOptions {
             max_states: 50_000,
             max_depth: Some(depth),
@@ -587,25 +632,25 @@ fn bmc_equiv(case: &GenCase) -> Result<(), Failure> {
         // explicit errors (overflow paths, state caps) have no symbolic
         // analogue — BMC prunes erroring paths as infeasible — so the
         // verdicts are incomparable, not wrong
-        Err(_) => return Ok(()),
+        Err(_) => return Ok(BmcLeg::ExplicitError),
     };
 
     let symbolic = match check(
-        &case.program,
-        &alphabet,
-        &property,
+        program,
+        alphabet,
+        property,
         &CheckOptions { env: Some(env), backend: Backend::Bmc { depth }, ..Default::default() },
     ) {
         Ok(r) => r,
-        Err(VerifyError::BmcUnsupported { .. }) => return Ok(()),
-        Err(e) => return Err(Failure::new(k, format!("symbolic backend failed: {e}"))),
+        Err(VerifyError::BmcUnsupported { .. }) => return Ok(BmcLeg::Unsupported),
+        Err(e) => return Err(Failure::new(k, format!("{leg}: symbolic backend failed: {e}"))),
     };
 
     if explicit.holds != symbolic.holds {
         return Err(Failure::new(
             k,
             format!(
-                "verdicts diverge at depth {depth}: explicit holds={}, symbolic holds={}",
+                "{leg}: verdicts diverge at depth {depth}: explicit holds={}, symbolic holds={}",
                 explicit.holds, symbolic.holds
             ),
         ));
@@ -617,12 +662,13 @@ fn bmc_equiv(case: &GenCase) -> Result<(), Failure> {
             return Err(Failure::new(
                 k,
                 format!(
-                    "counterexamples diverge at depth {depth}:\n  explicit {e}\n  symbolic {s}"
+                    "{leg}: counterexamples diverge at depth {depth}:\n  explicit {e}\n  \
+                     symbolic {s}"
                 ),
             ));
         }
     }
-    Ok(())
+    Ok(BmcLeg::Compared)
 }
 
 fn check_results_differ(a: &CheckResult, b: &CheckResult) -> Option<&'static str> {

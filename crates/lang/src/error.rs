@@ -36,6 +36,14 @@ pub enum LangError {
         /// What was expected / found.
         message: String,
     },
+    /// An expression nests deeper than the parser accepts (see
+    /// [`crate::parser::MAX_EXPR_DEPTH`]).
+    TooDeep {
+        /// Where the bound was passed.
+        pos: Pos,
+        /// The bound.
+        limit: usize,
+    },
     /// A signal is used but never declared.
     UndeclaredSignal {
         /// Component in which the use occurs.
@@ -106,6 +114,9 @@ impl fmt::Display for LangError {
         match self {
             LangError::Lex { pos, message } => write!(f, "lexical error at {pos}: {message}"),
             LangError::Parse { pos, message } => write!(f, "parse error at {pos}: {message}"),
+            LangError::TooDeep { pos, limit } => {
+                write!(f, "parse error at {pos}: expression nests deeper than {limit} levels")
+            }
             LangError::UndeclaredSignal { component, name } => {
                 write!(f, "component `{component}`: signal `{name}` is not declared")
             }
@@ -155,6 +166,7 @@ mod tests {
         let errors = [
             LangError::Lex { pos: Pos { line: 1, col: 2 }, message: "bad char".into() },
             LangError::Parse { pos: Pos { line: 3, col: 4 }, message: "expected `;`".into() },
+            LangError::TooDeep { pos: Pos { line: 5, col: 6 }, limit: 128 },
             LangError::UndeclaredSignal { component: "C".into(), name: "x".into() },
             LangError::MultipleDefinitions { component: "C".into(), name: "x".into() },
             LangError::InputDefined { component: "C".into(), name: "x".into() },

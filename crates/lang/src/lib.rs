@@ -58,7 +58,7 @@ pub use builder::ComponentBuilder;
 pub use clock::{classify_endochrony, const_guard_source, ClockAnalysis, ClockClass, Endochrony};
 pub use deps::DependencyGraph;
 pub use error::LangError;
-pub use parser::{parse_component, parse_expr, parse_program};
+pub use parser::{parse_component, parse_expr, parse_program, MAX_EXPR_DEPTH};
 pub use pretty::pretty_program;
 
 /// Parses, resolves and type-checks a program in one call.

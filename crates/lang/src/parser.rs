@@ -22,12 +22,25 @@
 //! primary    := IDENT | literal | "(" expr ")"
 //! literal    := INT | "-" INT | "true" | "false"
 //! ```
+//!
+//! Expressions are bounded in depth by [`MAX_EXPR_DEPTH`].
 
 use polysig_tagged::{Value, ValueType};
 
 use crate::ast::{Binop, Component, Declaration, Equation, Expr, Program, Role, Statement, Unop};
 use crate::error::{LangError, Pos};
 use crate::lexer::{tokenize, Spanned, Token};
+
+/// The deepest expression the parser accepts. Depth counts every operator
+/// node, every prefix operator and every parenthesis on the way down to a
+/// leaf, so both `((((x))))` and the left-nested tree of a flat
+/// `a + a + … + a` are bounded. The parser and every later pass (printing,
+/// resolution, typing, the clock calculus, analysis, lowering) recurse once
+/// per level, and a stack overflow aborts the process rather than
+/// unwinding; 128 levels sit well inside a 2 MiB thread stack even in a
+/// debug build. The printer parenthesizes every compound node, so its text
+/// for an expression of depth `d` has depth `2d`.
+pub const MAX_EXPR_DEPTH: usize = 128;
 
 /// Parses a whole program (one or more `process` blocks).
 ///
@@ -76,19 +89,43 @@ pub fn parse_component(src: &str) -> Result<Component, LangError> {
 pub fn parse_expr(src: &str) -> Result<Expr, LangError> {
     let tokens = tokenize(src)?;
     let mut p = Parser::new(&tokens);
-    let e = p.expr()?;
+    let (e, _) = p.expr()?;
     p.expect_end()?;
     Ok(e)
 }
 
+/// A parsed expression with its depth (see [`MAX_EXPR_DEPTH`]).
+type Deep = Result<(Expr, usize), LangError>;
+
 struct Parser<'a> {
     tokens: &'a [Spanned],
     i: usize,
+    /// Parentheses and prefix operators open on the way down.
+    open: usize,
 }
 
 impl<'a> Parser<'a> {
     fn new(tokens: &'a [Spanned]) -> Self {
-        Parser { tokens, i: 0 }
+        Parser { tokens, i: 0, open: 0 }
+    }
+
+    /// The depth of a node over children at most `below` deep.
+    fn deeper(&self, below: usize) -> Result<usize, LangError> {
+        if below >= MAX_EXPR_DEPTH {
+            return Err(LangError::TooDeep { pos: self.pos(), limit: MAX_EXPR_DEPTH });
+        }
+        Ok(below + 1)
+    }
+
+    /// Parses `inner` under one more parenthesis or prefix operator,
+    /// refusing before the descent passes the bound.
+    fn nested(&mut self, inner: fn(&mut Self) -> Deep) -> Deep {
+        self.deeper(self.open)?;
+        self.open += 1;
+        let parsed = inner(self);
+        self.open -= 1;
+        let (e, d) = parsed?;
+        Ok((e, self.deeper(d)?))
     }
 
     fn at_end(&self) -> bool {
@@ -186,7 +223,7 @@ impl<'a> Parser<'a> {
                         c.stmts.push(Statement::Sync(names));
                     } else {
                         self.expect(Token::Assign, "`:=`")?;
-                        let rhs = self.expr()?;
+                        let (rhs, _) = self.expr()?;
                         self.expect(Token::Semi, "`;`")?;
                         c.stmts.push(Statement::Eq(Equation { lhs, rhs }));
                     }
@@ -217,44 +254,48 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
-    fn expr(&mut self) -> Result<Expr, LangError> {
-        let mut e = self.when_expr()?;
+    fn expr(&mut self) -> Deep {
+        let (mut e, mut d) = self.when_expr()?;
         while self.eat(&Token::KwDefault) {
-            let rhs = self.when_expr()?;
+            let (rhs, rd) = self.when_expr()?;
+            d = self.deeper(d.max(rd))?;
             e = e.default(rhs);
         }
-        Ok(e)
+        Ok((e, d))
     }
 
-    fn when_expr(&mut self) -> Result<Expr, LangError> {
-        let mut e = self.or_expr()?;
+    fn when_expr(&mut self) -> Deep {
+        let (mut e, mut d) = self.or_expr()?;
         while self.eat(&Token::KwWhen) {
-            let cond = self.or_expr()?;
+            let (cond, cd) = self.or_expr()?;
+            d = self.deeper(d.max(cd))?;
             e = e.when(cond);
         }
-        Ok(e)
+        Ok((e, d))
     }
 
-    fn or_expr(&mut self) -> Result<Expr, LangError> {
-        let mut e = self.and_expr()?;
+    fn or_expr(&mut self) -> Deep {
+        let (mut e, mut d) = self.and_expr()?;
         while self.eat(&Token::KwOr) {
-            let rhs = self.and_expr()?;
+            let (rhs, rd) = self.and_expr()?;
+            d = self.deeper(d.max(rd))?;
             e = e.binop(Binop::Or, rhs);
         }
-        Ok(e)
+        Ok((e, d))
     }
 
-    fn and_expr(&mut self) -> Result<Expr, LangError> {
-        let mut e = self.cmp_expr()?;
+    fn and_expr(&mut self) -> Deep {
+        let (mut e, mut d) = self.cmp_expr()?;
         while self.eat(&Token::KwAnd) {
-            let rhs = self.cmp_expr()?;
+            let (rhs, rd) = self.cmp_expr()?;
+            d = self.deeper(d.max(rd))?;
             e = e.binop(Binop::And, rhs);
         }
-        Ok(e)
+        Ok((e, d))
     }
 
-    fn cmp_expr(&mut self) -> Result<Expr, LangError> {
-        let e = self.add_expr()?;
+    fn cmp_expr(&mut self) -> Deep {
+        let (e, d) = self.add_expr()?;
         let op = match self.peek() {
             Some(Token::Eq) => Some(Binop::Eq),
             Some(Token::Ne) => Some(Binop::Ne),
@@ -266,63 +307,67 @@ impl<'a> Parser<'a> {
         };
         if let Some(op) = op {
             self.i += 1;
-            let rhs = self.add_expr()?;
-            Ok(e.binop(op, rhs))
+            let (rhs, rd) = self.add_expr()?;
+            Ok((e.binop(op, rhs), self.deeper(d.max(rd))?))
         } else {
-            Ok(e)
+            Ok((e, d))
         }
     }
 
-    fn add_expr(&mut self) -> Result<Expr, LangError> {
-        let mut e = self.mul_expr()?;
+    fn add_expr(&mut self) -> Deep {
+        let (mut e, mut d) = self.mul_expr()?;
         loop {
-            if self.eat(&Token::Plus) {
-                let rhs = self.mul_expr()?;
-                e = e.binop(Binop::Add, rhs);
+            let op = if self.eat(&Token::Plus) {
+                Binop::Add
             } else if self.eat(&Token::Minus) {
-                let rhs = self.mul_expr()?;
-                e = e.binop(Binop::Sub, rhs);
+                Binop::Sub
             } else {
-                return Ok(e);
-            }
+                return Ok((e, d));
+            };
+            let (rhs, rd) = self.mul_expr()?;
+            d = self.deeper(d.max(rd))?;
+            e = e.binop(op, rhs);
         }
     }
 
-    fn mul_expr(&mut self) -> Result<Expr, LangError> {
-        let mut e = self.unary()?;
+    fn mul_expr(&mut self) -> Deep {
+        let (mut e, mut d) = self.unary()?;
         while self.eat(&Token::Star) {
-            let rhs = self.unary()?;
+            let (rhs, rd) = self.unary()?;
+            d = self.deeper(d.max(rd))?;
             e = e.binop(Binop::Mul, rhs);
         }
-        Ok(e)
+        Ok((e, d))
     }
 
-    fn unary(&mut self) -> Result<Expr, LangError> {
+    fn unary(&mut self) -> Deep {
         match self.peek() {
             Some(Token::KwNot) => {
                 self.i += 1;
-                Ok(self.unary()?.not())
+                let (arg, d) = self.nested(Self::unary)?;
+                Ok((arg.not(), d))
             }
             Some(Token::Minus) => {
                 self.i += 1;
-                let arg = self.unary()?;
+                let (arg, d) = self.nested(Self::unary)?;
                 // fold negation of integer literals so `-1` has one
                 // canonical AST regardless of how it was built
                 if let Expr::Const(Value::Int(k)) = arg {
-                    Ok(Expr::Const(Value::Int(-k)))
+                    Ok((Expr::Const(Value::Int(-k)), d))
                 } else {
-                    Ok(Expr::Unary { op: Unop::Neg, arg: Box::new(arg) })
+                    Ok((Expr::Unary { op: Unop::Neg, arg: Box::new(arg) }, d))
                 }
             }
             Some(Token::Caret) => {
                 self.i += 1;
-                Ok(self.unary()?.clock())
+                let (arg, d) = self.nested(Self::unary)?;
+                Ok((arg.clock(), d))
             }
             Some(Token::KwPre) => {
                 self.i += 1;
                 let init = self.literal()?;
-                let body = self.unary()?;
-                Ok(body.pre(init))
+                let (body, d) = self.nested(Self::unary)?;
+                Ok((body.pre(init), d))
             }
             _ => self.primary(),
         }
@@ -341,29 +386,29 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn primary(&mut self) -> Result<Expr, LangError> {
+    fn primary(&mut self) -> Deep {
         match self.peek() {
             Some(Token::Ident(name)) => {
                 let e = Expr::var(name.as_str());
                 self.i += 1;
-                Ok(e)
+                Ok((e, 0))
             }
             Some(Token::Int(v)) => {
                 let e = Expr::int(*v);
                 self.i += 1;
-                Ok(e)
+                Ok((e, 0))
             }
             Some(Token::KwTrue) => {
                 self.i += 1;
-                Ok(Expr::bool(true))
+                Ok((Expr::bool(true), 0))
             }
             Some(Token::KwFalse) => {
                 self.i += 1;
-                Ok(Expr::bool(false))
+                Ok((Expr::bool(false), 0))
             }
             Some(Token::LParen) => {
                 self.i += 1;
-                let e = self.expr()?;
+                let e = self.nested(Self::expr)?;
                 self.expect(Token::RParen, "`)`")?;
                 Ok(e)
             }
@@ -502,6 +547,44 @@ mod tests {
     fn error_on_bad_declaration() {
         let r = parse_component("process P { input x int; }");
         assert!(matches!(r, Err(LangError::Parse { .. })));
+    }
+
+    /// A component whose one equation has `rhs` as its right-hand side.
+    fn with_rhs(rhs: &str) -> String {
+        format!("process P {{ input a: int; output x: int; x := {rhs}; }}")
+    }
+
+    fn too_deep(src: &str) -> bool {
+        matches!(parse_program(src), Err(LangError::TooDeep { limit: MAX_EXPR_DEPTH, .. }))
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_the_limit() {
+        let nest = |n: usize| with_rhs(&format!("{}a{}", "(".repeat(n), ")".repeat(n)));
+        crate::check_program(&nest(MAX_EXPR_DEPTH)).expect("nesting at the bound is accepted");
+        assert!(too_deep(&nest(MAX_EXPR_DEPTH + 1)));
+        // far past the bound the parser stops on the way down
+        assert!(too_deep(&nest(100_000)));
+        let prefix = |n: usize| with_rhs(&format!("{}a", "- ".repeat(n)));
+        crate::check_program(&prefix(MAX_EXPR_DEPTH)).expect("prefix chain at the bound");
+        assert!(too_deep(&prefix(MAX_EXPR_DEPTH + 1)));
+    }
+
+    #[test]
+    fn flat_chains_are_bounded_at_the_limit() {
+        // n terms build n - 1 left-nested operator nodes
+        let sum = |terms: usize| with_rhs(&vec!["a"; terms].join(" + "));
+        let at_bound = crate::check_program(&sum(MAX_EXPR_DEPTH + 1)).expect("sum at the bound");
+        assert!(too_deep(&sum(MAX_EXPR_DEPTH + 2)));
+        assert!(too_deep(&sum(100_000)));
+        let err = parse_program(&sum(MAX_EXPR_DEPTH + 2)).unwrap_err();
+        assert!(err.to_string().contains("nests deeper than 128 levels"), "{err}");
+        // the printer parenthesizes each node, doubling the depth: its text
+        // is refused with the same structured error, not a stack overflow
+        let printed = crate::pretty_program(&at_bound);
+        assert!(too_deep(&printed));
+        let half = crate::check_program(&sum(MAX_EXPR_DEPTH / 2 + 1)).unwrap();
+        assert_eq!(parse_program(&crate::pretty_program(&half)).unwrap(), half);
     }
 
     #[test]

@@ -18,17 +18,26 @@
 //!    evaluated first and [`Op::SetClockFrom`] transfers its presence to
 //!    `n`, exactly as the interpreter's synchronous-operand rule would.
 //!
-//! If any equation fits none of these (or the schedule is cyclic, a signal
-//! is defined twice, or a non-input signal has no defining equation at
-//! all), `lower` returns `None` and the reactor keeps the interpreter —
-//! lowering failure is never an error, only a lost optimization. The
-//! static admissibility predicates below are deliberately conservative:
-//! they reject any equation whose compiled evaluation *could* hit an
-//! undecided or unvalued operand at runtime, so a lowered schedule bails
-//! only on genuinely ill-clocked reactions (which the interpreter then
-//! reports identically). Rejecting undefined non-inputs also makes the
-//! executor's "every signal slot decided" invariant a static fact, so no
-//! runtime scan is needed.
+//! Equations are placed in schedule order, but that order follows only
+//! instantaneous value dependencies: a consumer such as
+//! `s1 := (pre 2 (s0_out + s0_out)) + (pre -1 s1)` reads `s0_out` only under
+//! `pre`, may be scheduled before `s0_out`'s own equation, and yet needs
+//! `s0_out`'s presence as its clock witness. An equation that fits none of
+//! the three sources yet is rolled back and retried on the next pass, until
+//! a pass places nothing new.
+//!
+//! If an equation still fits none of them (or a signal is defined twice,
+//! or a non-input signal has no defining equation at all), `lower`
+//! returns the [`LowerFailure`] naming the rule and the signal, and the
+//! reactor keeps the interpreter — lowering failure is never an error,
+//! only a lost optimization. A cyclic schedule never reaches `lower`: the
+//! reactor reports it as [`LowerFailure::CyclicSchedule`]. The static admissibility
+//! predicates below are deliberately conservative: they reject any equation
+//! whose compiled evaluation *could* hit an undecided or unvalued operand at
+//! runtime, so a lowered schedule bails only on genuinely ill-clocked
+//! reactions (which the interpreter then reports identically). Rejecting
+//! undefined non-inputs also makes the executor's "every signal slot
+//! decided" invariant a static fact, so no runtime scan is needed.
 //!
 //! Expressions are flattened to three-address code: every sub-expression
 //! result lives in a dedicated temporary slot, constants are interned once
@@ -36,16 +45,57 @@
 //! carries the guarded-assign mode committing the left-hand side.
 
 use std::collections::BTreeSet;
+use std::fmt;
 
-use polysig_tagged::{Value, ValueType};
+use polysig_tagged::{SigName, Value, ValueType};
 
 use crate::ir::CExpr;
 use crate::schedule::{CompiledComponent, Flow, Mode, Op};
+
+/// Why a reaction system has no static schedule: the rule that failed,
+/// with the signal it failed on.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum LowerFailure {
+    /// An external input also has a defining equation.
+    InputDefined(SigName),
+    /// A signal has two defining equations.
+    DoubleDefinition(SigName),
+    /// Once every other equation is placed, nothing decided witnesses the
+    /// signal's clock, or its equation still reads an undecided signal.
+    NoClockWitness(SigName),
+    /// The equation's result may be ubiquitous (a context-clocked
+    /// constant) and no decided clock anchors it.
+    UnanchoredUbiquitous(SigName),
+    /// A non-input signal that no equation defines.
+    Undefined(SigName),
+    /// The equations' instantaneous dependencies form a cycle, so there is
+    /// no static order to lower.
+    CyclicSchedule,
+}
+
+impl fmt::Display for LowerFailure {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            LowerFailure::InputDefined(s) => write!(f, "input `{s}` has a defining equation"),
+            LowerFailure::DoubleDefinition(s) => write!(f, "`{s}` is defined twice"),
+            LowerFailure::NoClockWitness(s) => {
+                write!(f, "`{s}` has no clock witness once every other equation is placed")
+            }
+            LowerFailure::UnanchoredUbiquitous(s) => {
+                write!(f, "`{s}` may evaluate to a constant with no clock to anchor it")
+            }
+            LowerFailure::Undefined(s) => write!(f, "`{s}` is neither an input nor defined"),
+            LowerFailure::CyclicSchedule => write!(f, "the equation schedule is cyclic"),
+        }
+    }
+}
 
 /// Everything the lowering needs from an elaborated reactor.
 pub(crate) struct LowerInput<'a> {
     /// Number of declared signals (dense slot count).
     pub signal_count: usize,
+    /// Signal name per dense index (for failure reasons).
+    pub names: &'a [SigName],
     /// `is_input[id]` — the signal is an external input.
     pub is_input: &'a [bool],
     /// Declared type per signal (seeding type-checks inputs).
@@ -58,10 +108,30 @@ pub(crate) struct LowerInput<'a> {
     pub subset_edges: &'a BTreeSet<(usize, usize)>,
 }
 
-/// Lowers a scheduled reaction system; `None` when no static total order
-/// exists (the caller falls back to the interpreter).
-pub(crate) fn lower(inp: &LowerInput<'_>) -> Option<CompiledComponent> {
+/// Lowers a scheduled reaction system; the [`LowerFailure`] says why no
+/// static total order exists (the caller falls back to the interpreter).
+pub(crate) fn lower(inp: &LowerInput<'_>) -> Result<CompiledComponent, LowerFailure> {
     let n = inp.signal_count;
+    let name = |i: usize| inp.names[i].clone();
+
+    // inputs with equations and double definitions would need join
+    // machinery the linear schedule does not have, and a non-input the
+    // equations never define would stay undecided at runtime (the
+    // interpreter's UndeterminedClock error)
+    let mut defined = vec![false; n];
+    for &(lhs, _) in inp.equations {
+        if inp.is_input[lhs] {
+            return Err(LowerFailure::InputDefined(name(lhs)));
+        }
+        if defined[lhs] {
+            return Err(LowerFailure::DoubleDefinition(name(lhs)));
+        }
+        defined[lhs] = true;
+    }
+    if let Some(i) = (0..n).find(|&i| !inp.is_input[i] && !defined[i]) {
+        return Err(LowerFailure::Undefined(name(i)));
+    }
+
     let mut lw = Lowerer {
         value: inp.is_input.to_vec(),
         presence: inp.is_input.to_vec(),
@@ -100,48 +170,22 @@ pub(crate) fn lower(inp: &LowerInput<'_>) -> Option<CompiledComponent> {
     }
 
     // phase B: one (witness +) evaluate-and-assign block per equation, in
-    // schedule order
-    let mut defined = vec![false; n];
-    for (lhs, rhs) in inp.equations {
-        let lhs = *lhs;
-        // inputs with equations and double definitions would need join
-        // machinery the linear schedule does not have
-        if inp.is_input[lhs] || defined[lhs] {
-            return None;
-        }
-        defined[lhs] = true;
-        if !lw.admissible(rhs) {
-            if lw.presence[lhs] {
-                return None;
+    // schedule order; an equation not yet placeable is retried on the next
+    // pass, and a pass that places nothing fails on its first leftover
+    let mut pending: Vec<(usize, &CExpr)> = inp.equations.iter().map(|(l, r)| (*l, r)).collect();
+    while !pending.is_empty() {
+        let before = pending.len();
+        let mut failure = None;
+        pending.retain(|&(lhs, rhs)| match lw.place(lhs, rhs) {
+            Ok(()) => false,
+            Err(rule) => {
+                failure.get_or_insert_with(|| rule(name(lhs)));
+                true
             }
-            // structural clock: derive the presence from a decidable
-            // sub-expression, then re-check admissibility with the
-            // left-hand side's presence known
-            let (witness, ubiquitous) = lw.clock_plan(rhs)?;
-            if ubiquitous {
-                return None;
-            }
-            lw.ops.push(Op::SetClockFrom { dst: lhs as u32, src: witness });
-            lw.presence[lhs] = true;
-            if !lw.admissible(rhs) {
-                return None;
-            }
+        });
+        if pending.len() == before {
+            return Err(failure.expect("a pass that places nothing failed on an equation"));
         }
-        // a possibly-ubiquitous result needs an already-decided clock to
-        // anchor to
-        if maybe_ubiquitous(rhs) && !lw.presence[lhs] {
-            return None;
-        }
-        let m = if lw.presence[lhs] { Mode::GuardAtClock } else { Mode::Guard };
-        lw.emit(rhs, m, lhs as u32);
-        lw.value[lhs] = true;
-        lw.presence[lhs] = true;
-    }
-
-    // a non-input the equations never define would stay undecided at
-    // runtime (the interpreter's UndeterminedClock error): no schedule
-    if (0..n).any(|i| !inp.is_input[i] && !lw.value[i]) {
-        return None;
     }
 
     // phase C: register updates, re-evaluating each `pre` body in the
@@ -175,7 +219,7 @@ pub(crate) fn lower(inp: &LowerInput<'_>) -> Option<CompiledComponent> {
         .filter(|e| !discharged.contains(e))
         .map(|&(sub, sup)| (inp.groups[sub][0] as u32, inp.groups[sup][0] as u32))
         .collect();
-    Some(CompiledComponent {
+    Ok(CompiledComponent {
         ops: lw.ops,
         reg_ops,
         init_slots: lw.init_slots.into(),
@@ -186,6 +230,10 @@ pub(crate) fn lower(inp: &LowerInput<'_>) -> Option<CompiledComponent> {
         check_edges,
     })
 }
+
+/// The failure rule of one placement attempt, applied to the equation's
+/// left-hand side once the attempt is final.
+type Rule = fn(SigName) -> LowerFailure;
 
 /// Emission state: what is decided so far, the growing slot image and op
 /// stream.
@@ -203,6 +251,54 @@ struct Lowerer {
 }
 
 impl Lowerer {
+    /// Places one equation's (witness +) evaluate-and-assign block. A
+    /// failed attempt leaves no trace: its ops, temporaries, constants and
+    /// presence decision are rolled back, so a later pass retries it from
+    /// the same state.
+    fn place(&mut self, lhs: usize, rhs: &CExpr) -> Result<(), Rule> {
+        let marks = (self.ops.len(), self.init_slots.len(), self.consts.len(), self.presence[lhs]);
+        let placed = self.try_place(lhs, rhs);
+        if placed.is_err() {
+            self.ops.truncate(marks.0);
+            self.init_slots.truncate(marks.1);
+            self.consts.truncate(marks.2);
+            self.presence[lhs] = marks.3;
+        }
+        placed
+    }
+
+    fn try_place(&mut self, lhs: usize, rhs: &CExpr) -> Result<(), Rule> {
+        if !self.admissible(rhs) {
+            if self.presence[lhs] {
+                return Err(LowerFailure::NoClockWitness);
+            }
+            // structural clock: derive the presence from a decidable
+            // sub-expression, then re-check admissibility with the
+            // left-hand side's presence known
+            let Some((witness, ubiquitous)) = self.clock_plan(rhs) else {
+                return Err(LowerFailure::NoClockWitness);
+            };
+            if ubiquitous {
+                return Err(LowerFailure::UnanchoredUbiquitous);
+            }
+            self.ops.push(Op::SetClockFrom { dst: lhs as u32, src: witness });
+            self.presence[lhs] = true;
+            if !self.admissible(rhs) {
+                return Err(LowerFailure::NoClockWitness);
+            }
+        }
+        // a possibly-ubiquitous result needs an already-decided clock to
+        // anchor to
+        if maybe_ubiquitous(rhs) && !self.presence[lhs] {
+            return Err(LowerFailure::UnanchoredUbiquitous);
+        }
+        let m = if self.presence[lhs] { Mode::GuardAtClock } else { Mode::Guard };
+        self.emit(rhs, m, lhs as u32);
+        self.value[lhs] = true;
+        self.presence[lhs] = true;
+        Ok(())
+    }
+
     /// A fresh expression temporary.
     fn temp(&mut self) -> u32 {
         self.init_slots.push(Flow::Absent);
@@ -612,6 +708,11 @@ fn discharged_edges(inp: &LowerInput<'_>) -> BTreeSet<(usize, usize)> {
 mod tests {
     use super::*;
 
+    /// Slot `i` is named `s{i}`.
+    fn names(n: usize) -> Vec<SigName> {
+        (0..n).map(|i| SigName::from(format!("s{i}"))).collect()
+    }
+
     // slots: 0 = input a (int), 1 = output x (int)
     fn two_sig_input() -> (Vec<bool>, Vec<ValueType>, Vec<Vec<usize>>) {
         (vec![true, false], vec![ValueType::Int, ValueType::Int], vec![vec![0, 1]])
@@ -623,6 +724,7 @@ mod tests {
         let equations = vec![(1usize, CExpr::Var(0))];
         let cc = lower(&LowerInput {
             signal_count: 2,
+            names: &names(2),
             is_input: &is_input,
             types: &types,
             equations: &equations,
@@ -658,6 +760,7 @@ mod tests {
         )];
         let cc = lower(&LowerInput {
             signal_count: 2,
+            names: &names(2),
             is_input: &[true, false],
             types: &[ValueType::Bool, ValueType::Int],
             equations: &equations,
@@ -682,30 +785,93 @@ mod tests {
                 right: Box::new(CExpr::Pre { reg: 0, body: Box::new(CExpr::Var(1)) }),
             },
         )];
-        assert!(lower(&LowerInput {
+        let failure = lower(&LowerInput {
             signal_count: 2,
+            names: &names(2),
             is_input: &[true, false],
             types: &[ValueType::Int, ValueType::Int],
             equations: &equations,
             groups: &[vec![0], vec![1]],
             subset_edges: &BTreeSet::new(),
         })
-        .is_none());
+        .unwrap_err();
+        assert_eq!(failure, LowerFailure::NoClockWitness("s1".into()));
+        assert_eq!(
+            failure.to_string(),
+            "`s1` has no clock witness once every other equation is placed"
+        );
     }
 
     #[test]
     fn double_definition_fails_to_lower() {
         let (is_input, types, groups) = two_sig_input();
         let equations = vec![(1usize, CExpr::Var(0)), (1usize, CExpr::Var(0))];
-        assert!(lower(&LowerInput {
+        let failure = lower(&LowerInput {
             signal_count: 2,
+            names: &names(2),
             is_input: &is_input,
             types: &types,
             equations: &equations,
             groups: &groups,
             subset_edges: &BTreeSet::new(),
         })
-        .is_none());
+        .unwrap_err();
+        assert_eq!(failure, LowerFailure::DoubleDefinition("s1".into()));
+    }
+
+    #[test]
+    fn an_equation_on_an_input_fails_to_lower() {
+        let (is_input, types, groups) = two_sig_input();
+        let equations = vec![(0usize, CExpr::Const(Value::Int(1))), (1usize, CExpr::Var(0))];
+        let failure = lower(&LowerInput {
+            signal_count: 2,
+            names: &names(2),
+            is_input: &is_input,
+            types: &types,
+            equations: &equations,
+            groups: &groups,
+            subset_edges: &BTreeSet::new(),
+        })
+        .unwrap_err();
+        assert_eq!(failure, LowerFailure::InputDefined("s0".into()));
+    }
+
+    #[test]
+    fn an_equation_witnessed_by_a_later_one_lowers_on_a_retry() {
+        // slots: 0 = input i, 1 = a := i, 2 = b := (pre 0 a) + ((pre 0 b)
+        // + 5), each in its own group. b reads a only under `pre`, yet a's
+        // presence is b's only clock witness. Arriving before a, b's first
+        // attempt interns the constant 5 while looking for a witness and
+        // fails; the rollback must leave the same image as the one-pass
+        // order
+        let a = (1usize, CExpr::Var(0));
+        let b = (
+            2usize,
+            CExpr::Binary {
+                op: polysig_lang::Binop::Add,
+                left: Box::new(CExpr::Pre { reg: 0, body: Box::new(CExpr::Var(1)) }),
+                right: Box::new(CExpr::Binary {
+                    op: polysig_lang::Binop::Add,
+                    left: Box::new(CExpr::Pre { reg: 1, body: Box::new(CExpr::Var(2)) }),
+                    right: Box::new(CExpr::Const(Value::Int(5))),
+                }),
+            },
+        );
+        let lower_in = |equations: &[(usize, CExpr)]| {
+            lower(&LowerInput {
+                signal_count: 3,
+                names: &names(3),
+                is_input: &[true, false, false],
+                types: &[ValueType::Int; 3],
+                equations,
+                groups: &[vec![0], vec![1], vec![2]],
+                subset_edges: &BTreeSet::new(),
+            })
+        };
+        let retried = lower_in(&[b.clone(), a.clone()]).expect("b lowers on the second pass");
+        let one_pass = lower_in(&[a, b]).expect("a then b lowers in one pass");
+        assert_eq!(retried, one_pass);
+        assert!(retried.ops.iter().any(|o| matches!(o, Op::SetClockFrom { dst: 2, src: 1 })));
     }
 
     #[test]
@@ -713,26 +879,29 @@ mod tests {
         // x := 5 with x in its own inputless group: nothing anchors the
         // constant's clock
         let equations = vec![(1usize, CExpr::Const(Value::Int(5)))];
-        assert!(lower(&LowerInput {
+        let failure = lower(&LowerInput {
             signal_count: 2,
+            names: &names(2),
             is_input: &[true, false],
             types: &[ValueType::Int, ValueType::Int],
             equations: &equations,
             groups: &[vec![0], vec![1]],
             subset_edges: &BTreeSet::new(),
         })
-        .is_none());
+        .unwrap_err();
+        assert_eq!(failure, LowerFailure::UnanchoredUbiquitous("s1".into()));
         // but with x sharing the input's group, the fold anchors it
         let (is_input, types, groups) = two_sig_input();
         assert!(lower(&LowerInput {
             signal_count: 2,
+            names: &names(2),
             is_input: &is_input,
             types: &types,
             equations: &equations,
             groups: &groups,
             subset_edges: &BTreeSet::new(),
         })
-        .is_some());
+        .is_ok());
     }
 
     #[test]
@@ -744,6 +913,7 @@ mod tests {
         let edges: BTreeSet<(usize, usize)> = [(0, 1), (1, 0)].into_iter().collect();
         let cc = lower(&LowerInput {
             signal_count: 2,
+            names: &names(2),
             is_input: &[true, false],
             types: &[ValueType::Int, ValueType::Int],
             equations: &equations,
@@ -766,6 +936,7 @@ mod tests {
         let edges: BTreeSet<(usize, usize)> = [(0, 2), (2, 0), (2, 1)].into_iter().collect();
         let cc = lower(&LowerInput {
             signal_count: 3,
+            names: &names(3),
             is_input: &[true, true, false],
             types: &[ValueType::Int, ValueType::Bool, ValueType::Int],
             equations: &equations,
@@ -795,6 +966,7 @@ mod tests {
         let edges: BTreeSet<(usize, usize)> = [(0, 1)].into_iter().collect();
         let cc = lower(&LowerInput {
             signal_count: 3,
+            names: &names(3),
             is_input: &[true, true, false],
             types: &[ValueType::Int, ValueType::Bool, ValueType::Int],
             equations: &equations,
@@ -818,6 +990,7 @@ mod tests {
         )];
         let cc = lower(&LowerInput {
             signal_count: 3,
+            names: &names(3),
             is_input: &[true, true, false],
             types: &[ValueType::Int, ValueType::Bool, ValueType::Int],
             equations: &equations,
@@ -833,14 +1006,16 @@ mod tests {
         // slot 2 is a local no equation ever defines: the interpreter
         // would report UndeterminedClock, so no static schedule exists
         let equations = vec![(1usize, CExpr::Var(0))];
-        assert!(lower(&LowerInput {
+        let failure = lower(&LowerInput {
             signal_count: 3,
+            names: &names(3),
             is_input: &[true, false, false],
             types: &[ValueType::Int, ValueType::Int, ValueType::Int],
             equations: &equations,
             groups: &[vec![0, 1, 2]],
             subset_edges: &BTreeSet::new(),
         })
-        .is_none());
+        .unwrap_err();
+        assert_eq!(failure, LowerFailure::Undefined("s2".into()));
     }
 }

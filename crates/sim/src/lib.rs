@@ -52,6 +52,7 @@ pub mod scenario;
 pub mod schedule;
 pub mod status;
 
+pub use compile::LowerFailure;
 pub use engine::{Run, SimCheckpoint, Simulator};
 pub use env::DenseEnv;
 pub use error::SimError;

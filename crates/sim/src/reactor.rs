@@ -24,7 +24,7 @@ use polysig_lang::clock::analyze_component;
 use polysig_lang::{Binop, Component, Program, Statement, Unop};
 use polysig_tagged::{Interner, SigId, SigName, Value, ValueType};
 
-use crate::compile::{lower, LowerInput};
+use crate::compile::{lower, LowerFailure, LowerInput};
 use crate::env::DenseEnv;
 use crate::error::SimError;
 use crate::ir::{compile, CExpr};
@@ -78,8 +78,9 @@ enum ExecPlan {
     /// Straight-line guarded bytecode with zero fixpoint passes; any
     /// runtime anomaly bails to the interpreter for this one reaction.
     Compiled(Arc<CompiledComponent>),
-    /// The constructive fixpoint.
-    Interpreted,
+    /// The constructive fixpoint, with the reason lowering failed when it
+    /// was attempted.
+    Interpreted(Option<LowerFailure>),
 }
 
 /// Build-time choice of execution plan.
@@ -355,20 +356,23 @@ impl Reactor {
             CompileMode::Always => true,
             CompileMode::Auto => compile_enabled(),
         };
-        let plan = if want_compile && acyclic {
+        let plan = if !want_compile {
+            ExecPlan::Interpreted(None)
+        } else if !acyclic {
+            ExecPlan::Interpreted(Some(LowerFailure::CyclicSchedule))
+        } else {
             match lower(&LowerInput {
                 signal_count: interner.len(),
+                names: interner.names(),
                 is_input: &is_input,
                 types: &types,
                 equations: &equations,
                 groups: &groups,
                 subset_edges: &subset_edges,
             }) {
-                Some(cc) => ExecPlan::Compiled(Arc::new(cc)),
-                None => ExecPlan::Interpreted,
+                Ok(cc) => ExecPlan::Compiled(Arc::new(cc)),
+                Err(failure) => ExecPlan::Interpreted(Some(failure)),
             }
-        } else {
-            ExecPlan::Interpreted
         };
 
         let n = interner.len();
@@ -427,7 +431,7 @@ impl Reactor {
     pub fn compiled_op_count(&self) -> Option<usize> {
         match &self.plan {
             ExecPlan::Compiled(cc) => Some(cc.op_count()),
-            ExecPlan::Interpreted => None,
+            ExecPlan::Interpreted(_) => None,
         }
     }
 
@@ -438,7 +442,17 @@ impl Reactor {
     pub fn compiled_schedule(&self) -> Option<&CompiledComponent> {
         match &self.plan {
             ExecPlan::Compiled(cc) => Some(cc),
-            ExecPlan::Interpreted => None,
+            ExecPlan::Interpreted(_) => None,
+        }
+    }
+
+    /// Why no static schedule was lowered, when lowering was attempted and
+    /// failed (`None` for a compiled reactor and for one built to
+    /// interpret).
+    pub fn lower_failure(&self) -> Option<&LowerFailure> {
+        match &self.plan {
+            ExecPlan::Interpreted(failure) => failure.as_ref(),
+            ExecPlan::Compiled(_) => None,
         }
     }
 

@@ -51,8 +51,8 @@ struct Move {
     letter: u32,
     /// Successor automaton state.
     next: u32,
-    /// Selection literal: true iff the trace takes this move here.
-    lit: Lit,
+    /// Selection bit: true iff the trace takes this move here.
+    bit: Bit,
 }
 
 /// The lazily-unrolled transition relation.
@@ -80,10 +80,10 @@ impl Unroller {
         env: Option<&EnvAutomaton>,
     ) -> Result<(Unroller, Reactor), VerifyError> {
         let reactor = Reactor::for_program_compiled(program)?;
-        let cc = reactor
-            .compiled_schedule()
-            .cloned()
-            .ok_or_else(|| unsupported("program does not lower to a static schedule"))?;
+        let Some(cc) = reactor.compiled_schedule().cloned() else {
+            let why = reactor.lower_failure().map(|f| format!(": {f}")).unwrap_or_default();
+            return Err(unsupported(format!("program does not lower to a static schedule{why}")));
+        };
 
         // compile every letter onto the schedule's input layout; anything
         // the schedule would reject per-reaction (a driven non-input, an
@@ -138,24 +138,35 @@ impl Unroller {
     /// step's decided signal flows. All feasibility constraints are hard;
     /// nothing here mentions the property.
     fn push_step(&mut self) -> Result<Vec<SymFlow>, VerifyError> {
-        // the step's environment moves, from concretely-reachable states
+        // the step's environment moves, from concretely-reachable states.
+        // The live states are one-hot and a move is available only from a
+        // live state, so a state's only move fires exactly when the state
+        // is live: it takes the state's own bit. Under a deterministic
+        // automaton every bit is then a constant and the whole unrolling
+        // folds while encoding; only a choice gets fresh literals.
         let mut moves: Vec<Move> = Vec::new();
         for &(s, sbit) in &self.cur_states {
-            for &(li, next) in &self.moves_of[s as usize] {
-                let lit = self.cnf.fresh_lit();
-                // a move is only available when its source state is live
-                self.cnf.assert_clause(&[Bit::Lit(!lit), sbit]);
-                moves.push(Move { state: s, letter: li, next, lit });
+            let out = &self.moves_of[s as usize];
+            for &(li, next) in out {
+                let bit = if out.len() == 1 {
+                    sbit
+                } else {
+                    let lit = self.cnf.fresh_lit();
+                    // a move is only available when its source state is live
+                    self.cnf.assert_clause(&[Bit::Lit(!lit), sbit]);
+                    Bit::Lit(lit)
+                };
+                moves.push(Move { state: s, letter: li, next, bit });
             }
         }
-        let move_bits: Vec<Bit> = moves.iter().map(|m| Bit::Lit(m.lit)).collect();
+        let move_bits: Vec<Bit> = moves.iter().map(|m| m.bit).collect();
         self.cnf.exactly_one(&move_bits);
 
         // successor automaton states: one-hot by construction (exactly one
         // move fires and each move has one target)
         let mut incoming: BTreeMap<u32, Vec<Bit>> = BTreeMap::new();
         for m in &moves {
-            incoming.entry(m.next).or_default().push(Bit::Lit(m.lit));
+            incoming.entry(m.next).or_default().push(m.bit);
         }
         self.cur_states = incoming
             .into_iter()
@@ -172,15 +183,12 @@ impl Unroller {
                 .iter()
                 .filter_map(|m| self.letters[m.letter as usize][k].map(|v| (m, v)))
                 .collect();
-            let pres_bits: Vec<Bit> = driving.iter().map(|(m, _)| Bit::Lit(m.lit)).collect();
+            let pres_bits: Vec<Bit> = driving.iter().map(|(m, _)| m.bit).collect();
             let pres = self.cnf.or_many(&pres_bits);
             let val = match self.cc.input_types[k] {
                 ValueType::Bool => {
-                    let on: Vec<Bit> = driving
-                        .iter()
-                        .filter(|(_, v)| v.is_true())
-                        .map(|(m, _)| Bit::Lit(m.lit))
-                        .collect();
+                    let on: Vec<Bit> =
+                        driving.iter().filter(|(_, v)| v.is_true()).map(|(m, _)| m.bit).collect();
                     SymVal::B(self.cnf.or_many(&on))
                 }
                 ValueType::Int => {
@@ -189,7 +197,7 @@ impl Unroller {
                         let on: Vec<Bit> = driving
                             .iter()
                             .filter(|(_, v)| matches!(v, Value::Int(i) if (*i >> j) & 1 == 1))
-                            .map(|(m, _)| Bit::Lit(m.lit))
+                            .map(|(m, _)| m.bit)
                             .collect();
                         word.push(self.cnf.or_many(&on));
                     }
@@ -217,12 +225,13 @@ impl Unroller {
         for t in 0..self.step_moves.len() {
             let mut chosen: Option<(u32, u32)> = None;
             for m in self.step_moves[t].iter().filter(|m| m.state == state) {
+                let lit = self.cnf.lit(m.bit);
                 let mut assumptions = fixed.clone();
-                assumptions.push(m.lit);
+                assumptions.push(lit);
                 assumptions.push(viol);
                 if self.cnf.solver.solve_assuming(&assumptions) {
                     chosen = Some((m.letter, m.next));
-                    fixed.push(m.lit);
+                    fixed.push(lit);
                     break;
                 }
             }
@@ -382,4 +391,63 @@ pub(crate) fn run_bound(
         }
     }
     Ok(BoundResult { max: best, states_explored: 0, transitions: 0, depth_bounded: true })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::alphabet::Letter;
+    use polysig_gals::nfifo::nfifo_component;
+
+    /// A 2-place FIFO, its integer alphabet, and the write, write, read,
+    /// read cycle over it.
+    fn fifo_cycle() -> (Program, Alphabet, EnvAutomaton) {
+        let p = Program::single(nfifo_component("ch", 2));
+        let mut alphabet = Alphabet::exhaustive(&p, &[1, 2]).unwrap();
+        let letter = |pairs: &[(&str, Value)]| -> Letter {
+            pairs.iter().map(|(n, v)| (SigName::from(*n), *v)).collect()
+        };
+        let write = |v| letter(&[("tick", Value::TRUE), ("ch_in", Value::Int(v))]);
+        let read = letter(&[("tick", Value::TRUE), ("ch_rd", Value::TRUE)]);
+        let env = EnvAutomaton::cycle(&mut alphabet, &[write(1), write(2), read.clone(), read]);
+        (p, alphabet, env)
+    }
+
+    #[test]
+    fn a_cycle_automaton_unrolls_to_constants() {
+        let (p, alphabet, env) = fifo_cycle();
+        let (mut un, _) = Unroller::new(&p, &alphabet, Some(&env)).unwrap();
+        for _ in 0..9 {
+            un.push_step().unwrap();
+        }
+        // every move is forced, so every bit folds: the pinned `true`
+        // literal is the only variable
+        assert_eq!(un.cnf.solver.num_vars(), 1);
+        assert!(un.step_moves.iter().flatten().all(|m| m.bit == Bit::Const(true)));
+    }
+
+    #[test]
+    fn a_branching_state_keeps_fresh_literals() {
+        let (p, alphabet, mut env) = fifo_cycle();
+        // open the first state to every letter: its moves become a choice,
+        // and every later state's bit is symbolic
+        for li in 0..alphabet.len() {
+            if env.moves(0).all(|(l, _)| l != li) {
+                env.allow(0, li, 1);
+            }
+        }
+        let (mut un, _) = Unroller::new(&p, &alphabet, Some(&env)).unwrap();
+        un.push_step().unwrap();
+        assert!(un.step_moves[0].len() > 1);
+        assert!(un.step_moves[0].iter().all(|m| matches!(m.bit, Bit::Lit(_))));
+        // state 1's only move takes state 1's symbolic bit: no fresh literal
+        let (state, sbit) = un.cur_states[0];
+        assert_eq!((state, un.cur_states.len()), (1, 1));
+        assert!(matches!(sbit, Bit::Lit(_)));
+        let vars = un.cnf.solver.num_vars();
+        un.push_step().unwrap();
+        assert_eq!(un.step_moves[1].len(), 1);
+        assert_eq!(un.step_moves[1][0].bit, sbit);
+        assert!(vars > 1);
+    }
 }

@@ -193,6 +193,26 @@ mod tests {
     }
 
     #[test]
+    fn deep_and_long_sources_are_answered_and_the_connection_keeps_serving() {
+        let addr = spawn_server(EngineConfig::default());
+        let mut client = Client::connect(&addr).expect("connect");
+        let program =
+            |rhs: String| format!("process P {{ input a: int; output x: int; x := {rhs}; }}");
+        // each would overflow a connection thread's stack in a pass that
+        // recursed once per level without a bound
+        let nested = program(format!("{}a{}", "(".repeat(1000), ")".repeat(1000)));
+        let flat = program(vec!["a"; 5000].join(" + "));
+        for (id, kind, source) in [(1, RequestKind::Parse, nested), (2, RequestKind::Lint, flat)] {
+            let env = client.call(&Request::new(id, kind, source)).expect("an answer, not EOF");
+            assert_eq!((env.id, env.outcome.as_str()), (id, "source_error"));
+        }
+        let mut req = Request::new(3, RequestKind::Pipeline, WARM_SOURCE);
+        req.scenario = Some(PIPE_SCENARIO.into());
+        let env = client.call(&req).expect("served after the hostile sources");
+        assert_eq!((env.id, env.outcome.as_str()), (3, "pipeline"));
+    }
+
+    #[test]
     fn load_generator_reports_what_the_server_did() {
         let mut config = EngineConfig::default();
         config.budget.max_instants = 64;

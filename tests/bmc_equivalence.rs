@@ -15,7 +15,9 @@
 //! shaped exploration.
 
 use polysig::gals::nfifo::nfifo_component;
+use polysig::gals::{desynchronize, DesyncOptions};
 use polysig::lang::{parse_program, Program};
+use polysig::sim::Reactor;
 use polysig::tagged::Value;
 use polysig::verify::alphabet::Letter;
 use polysig::verify::reach::{check, CheckOptions, CheckResult};
@@ -186,4 +188,53 @@ fn env_automaton_checks_agree_across_backends() {
         Some(&env),
         8,
     );
+}
+
+// --- a desynchronized network that lowers only on a retry ----------------
+
+/// The two-stage pipeline whose consumer reads its channel only under
+/// `pre`. Desynchronized, the consumer's equation reads `s0_out`, which the
+/// FIFO defines; the schedule follows instantaneous reads only, so it may
+/// place the consumer first, yet `s0_out`'s presence is the consumer's only
+/// clock witness. The network must lower, and BMC must answer "never
+/// `s0_alarm`" exactly as the explicit checker does, under a free
+/// environment and under the cycle that overflows the FIFO.
+#[test]
+fn a_consumer_reading_its_channel_only_under_pre_lowers_after_desync() {
+    let p = parse_program(
+        "process P0 { input a: int; output s0: int; s0 := a + 1; } \
+         process P1 { input s0: int; output s1: int; \
+                      s1 := (pre 2 (s0 + s0)) + (pre -1 s1); }",
+    )
+    .unwrap();
+    let options = DesyncOptions { default_size: 1, ..DesyncOptions::default() };
+    let gals = desynchronize(&p, &options).unwrap();
+    let reactor = Reactor::for_program_compiled(&gals.program).unwrap();
+    assert!(reactor.is_compiled(), "no static schedule: {:?}", reactor.lower_failure());
+
+    let property = Property::never_true("s0_alarm");
+    let mut alphabet = Alphabet::exhaustive(&gals.program, &[1]).unwrap();
+    drill("pre-only consumer, free", &gals.program, &alphabet, &property, None, 4);
+    let letter = |pairs: &[(&str, Value)]| -> Letter {
+        pairs.iter().map(|(n, v)| ((*n).into(), *v)).collect()
+    };
+    let write = letter(&[("tick", Value::TRUE), ("a", Value::Int(1))]);
+    let read = letter(&[("tick", Value::TRUE), ("s0_rd", Value::TRUE)]);
+    let env = EnvAutomaton::cycle(&mut alphabet, &[write.clone(), write, read]);
+    drill(
+        "pre-only consumer, write-write-read",
+        &gals.program,
+        &alphabet,
+        &property,
+        Some(&env),
+        6,
+    );
+    let r = check(
+        &gals.program,
+        &alphabet,
+        &property,
+        &CheckOptions { env: Some(env), backend: Backend::Bmc { depth: 6 }, ..Default::default() },
+    )
+    .unwrap();
+    assert_eq!(r.counterexample.map(|c| c.len()), Some(2), "the second write overflows");
 }

@@ -13,6 +13,7 @@
 //! A failing case is shrunk before the panic so the message carries a
 //! ready-to-commit corpus entry for `corpus/`.
 
+use polysig_gen::oracle::{bmc_equiv_legs, BmcLeg};
 use polysig_gen::{
     check_case, entry_text, generate_case, parse_entry, replay, shrink, GenConfig, Shape,
 };
@@ -81,5 +82,21 @@ fn generated_cases_satisfy_all_oracles() {
                 );
             }
         }
+    }
+}
+
+/// A skipped `BmcEquiv` leg compares nothing, so a change that made the
+/// symbolic backend refuse these programs would pass the sweep above
+/// silently. Every generated pipeline lowers to a static schedule, cases
+/// 8 and 10 only since lowering retries equations, so both legs must
+/// compare every case.
+#[test]
+fn both_bmc_legs_compare_every_pipeline_case() {
+    for i in 0..12 {
+        let seed = splitmix64(1 ^ splitmix64(i | 1u64 << 32));
+        let case =
+            generate_case(&mut StdRng::seed_from_u64(seed), &GenConfig::default(), Shape::Pipeline);
+        let legs = bmc_equiv_legs(&case).unwrap_or_else(|f| panic!("case {i}: {f}"));
+        assert_eq!(legs, [BmcLeg::Compared; 2], "case {i}");
     }
 }
