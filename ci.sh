@@ -12,6 +12,9 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo check perfbench (a workspace of its own, so the steps above never build it)"
+cargo check --locked --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test -q --workspace (POLYSIG_TEST_THREADS=1: sequential exploration path)"
 POLYSIG_TEST_THREADS=1 cargo test -q --workspace
 

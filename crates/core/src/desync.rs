@@ -255,10 +255,6 @@ pub struct DesyncCache {
     monitors: Vec<Component>,
     /// Memoized FIFO components keyed by `(channel index, depth)`.
     fifos: FxHashMap<(usize, usize), Component>,
-    /// `true` iff the source program declares a signal that looks like a
-    /// generated channel signal (`<channel>_…`) — see
-    /// [`DesyncCache::has_generated_name_collision`].
-    name_collision: bool,
 }
 
 impl DesyncCache {
@@ -318,19 +314,6 @@ impl DesyncCache {
             Vec::new()
         };
 
-        // a source declaration named like a generated channel signal
-        // (`x_alarm`, `x_d3`, …) could alias the channel machinery — the
-        // estimation loop's warm start refuses to assume prefix equivalence
-        // for such programs (conservative: any `<channel>_` prefix counts)
-        let name_collision = program.components.iter().flat_map(|c| &c.decls).any(|d| {
-            channels.iter().any(|ch| {
-                d.name
-                    .as_str()
-                    .strip_prefix(ch.spec.signal.as_str())
-                    .is_some_and(|rest| rest.starts_with('_'))
-            })
-        });
-
         Ok(DesyncCache {
             name: format!("{}_gals", program.name),
             skeleton,
@@ -338,7 +321,6 @@ impl DesyncCache {
             instrument,
             monitors,
             fifos: FxHashMap::default(),
-            name_collision,
         })
     }
 
@@ -350,14 +332,6 @@ impl DesyncCache {
     /// Number of channels the transformation will cut.
     pub fn channel_count(&self) -> usize {
         self.channels.len()
-    }
-
-    /// `true` iff the source program declares a name that collides with the
-    /// generated channel-signal namespace (`<channel>_…`) — the generated
-    /// machinery could then feed back into the source components, voiding
-    /// the prefix-equivalence argument the estimation warm start rests on.
-    pub fn has_generated_name_collision(&self) -> bool {
-        self.name_collision
     }
 
     /// Assembles the desynchronized program for one size map (channels not
@@ -488,22 +462,6 @@ mod tests {
             assert_eq!(cached.program, fresh.program);
             assert_eq!(cached.channels, fresh.channels);
         }
-    }
-
-    #[test]
-    fn generated_name_collision_detected() {
-        let clean = DesyncCache::new(&sample(), true).unwrap();
-        assert!(!clean.has_generated_name_collision());
-
-        // `x_probe` lives inside the generated `x_…` namespace
-        let p = parse_program(
-            "process P { input a: int; output x: int; local x_probe: int; \
-                         x := a + 1; x_probe := x; } \
-             process Q { input x: int; output y: int; y := x * 2; }",
-        )
-        .unwrap();
-        let tainted = DesyncCache::new(&p, true).unwrap();
-        assert!(tainted.has_generated_name_collision());
     }
 
     #[test]

@@ -13,41 +13,35 @@
 //! count, grow the buffers, and repeat until a run raises no alarm (or a
 //! cap is hit).
 //!
-//! ## The incremental engine
+//! ## The cached engine
 //!
-//! Consecutive rounds differ only in FIFO depths, so by default
-//! ([`EstimationOptions::incremental`]) the loop avoids repeating work the
-//! rounds share:
+//! Consecutive rounds differ only in FIFO depths, so [`estimate_buffer_sizes`]
+//! avoids repeating the work the rounds share:
 //!
 //! * the desynchronization skeleton is derived once per loop via
 //!   [`DesyncCache`] and each round's network assembled from clones;
 //! * each round compiles straight to a [`Reactor`] and is measured on dense
-//!   per-instant environments — alarms and miss registers are read off the
-//!   reaction outputs directly, skipping the full trace recording a
-//!   [`Simulator`] run would do;
+//!   per-instant environments from instant 0 — alarms and miss registers
+//!   are read off the reaction outputs directly, skipping the full trace
+//!   recording a [`Simulator`] run would do;
 //! * compiled rounds are memoized by their depth vector, so an ensemble
 //!   worker revisiting the same sizes (every scenario starts at the same
-//!   depths) reuses the compiled reactor;
-//! * when a round only *grew* buffers, the next round resumes from the
-//!   instant of the earliest write attempt on any grown channel instead of
-//!   replaying the whole prefix — see `DESIGN.md` §9 for the soundness
-//!   argument and the conditions that force a cold start.
+//!   depths) resets and reuses the compiled reactor.
 //!
-//! The incremental engine is observationally identical to the plain loop
-//! (`incremental: false`): same [`EstimationReport`], field for field — the
-//! differential suite in `tests/differential.rs` holds it to that.
+//! The cached engine is observationally identical to the plain
+//! desynchronize-and-simulate loop, [`estimate_buffer_sizes_reference`]:
+//! same [`EstimationReport`], field for field — the differential suite in
+//! `tests/differential.rs` holds it to that.
 
-use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 use polysig_lang::Program;
-use polysig_sim::{DenseEnv, Reactor, ReactorState, Scenario, Simulator};
+use polysig_sim::{Reactor, Scenario, Simulator};
 use polysig_tagged::hash::FxHashMap;
 use polysig_tagged::{SigId, SigName, Value};
 
 use crate::desync::{desynchronize, DesyncCache, DesyncOptions, Desynchronized};
 use crate::error::GalsError;
-use crate::nfifo::fifo_component_name;
 
 /// How to grow a channel that missed writes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -76,12 +70,6 @@ pub struct EstimationOptions {
     /// identical for every value. Defaults to the detected parallelism
     /// (`POLYSIG_TEST_THREADS` overrides it).
     pub threads: usize,
-    /// Use the incremental engine (cached desynchronization, dense
-    /// measurement, warm-started rounds — see the module docs). The report
-    /// is identical either way; `false` forces the plain
-    /// desynchronize-simulate-grow loop, kept as the reference
-    /// implementation the differential tests compare against.
-    pub incremental: bool,
     /// Statically proven sufficient depths (the `polysig-analyze` rate-bound
     /// prover's output, via `StaticBounds::warm_start`). A proven channel
     /// starts at its proven depth (clamped to ≥ 1) instead of
@@ -101,7 +89,6 @@ impl Default for EstimationOptions {
             max_size: 4096,
             growth: GrowthPolicy::ByMaxMiss,
             threads: crossbeam::pool::default_threads(),
-            incremental: true,
             proven: BTreeMap::new(),
         }
     }
@@ -202,24 +189,30 @@ pub fn estimate_buffer_sizes(
     scenario: &Scenario,
     options: &EstimationOptions,
 ) -> Result<EstimationReport, GalsError> {
-    if options.incremental {
-        estimate_with_ctx(&mut EstimationCtx::new(program)?, scenario, options)
-    } else {
-        estimate_cold(program, scenario, options)
-    }
+    Estimator::new(program)?.estimate(scenario, options)
 }
 
 /// A reusable estimation handle: the desynchronization skeleton
 /// ([`DesyncCache`]) and the compiled-round memo survive across calls, so
 /// a server estimating the same program under many scenarios pays the
 /// skeleton derivation once. Each call observes exactly what a fresh
-/// [`estimate_buffer_sizes`] call would — the incremental engine's
-/// round-for-round equivalence contract (fuzzed by the `EstimateEquiv`
-/// and `ServeEquiv` oracles) is what makes the reuse invisible.
+/// [`estimate_buffer_sizes`] call would, because every round resets its
+/// reactor and measures from instant 0 — the `EstimateEquiv` and
+/// `ServeEquiv` oracles fuzz that.
 pub struct Estimator {
-    program: Program,
-    ctx: EstimationCtx,
+    cache: DesyncCache,
+    /// Channel signals, fixing the channel order all dense vectors use.
+    signals: Vec<SigName>,
+    /// Compiled rounds memoized by depth vector (in `signals` order).
+    compiled: FxHashMap<Vec<usize>, CompiledRound>,
 }
+
+/// Compiled rounds kept per [`Estimator`] before the memo is wholesale
+/// cleared. Estimation loops visit few distinct depth vectors (an ensemble
+/// worker revisits mostly the early ones), so a small bound with dumb
+/// eviction is plenty — the bound only guards pathological non-converging
+/// ensembles.
+const MAX_COMPILED_ROUNDS: usize = 64;
 
 impl Estimator {
     /// Derives the skeleton for `program`.
@@ -228,12 +221,14 @@ impl Estimator {
     ///
     /// Surfaces the desynchronization errors [`DesyncCache::new`] raises.
     pub fn new(program: &Program) -> Result<Estimator, GalsError> {
-        Ok(Estimator { program: program.clone(), ctx: EstimationCtx::new(program)? })
+        let cache = DesyncCache::new(program, true)?;
+        let signals = cache.signals().cloned().collect();
+        Ok(Estimator { cache, signals, compiled: FxHashMap::default() })
     }
 
-    /// Runs one Section-5.2 estimation, reusing the cached skeleton when
-    /// `options.incremental` (the default); a non-incremental request
-    /// falls through to the cold reference loop.
+    /// Runs one Section-5.2 estimation on the cached skeleton. Same
+    /// observable behavior as [`estimate_buffer_sizes_reference`], round
+    /// for round.
     ///
     /// # Errors
     ///
@@ -243,11 +238,126 @@ impl Estimator {
         scenario: &Scenario,
         options: &EstimationOptions,
     ) -> Result<EstimationReport, GalsError> {
-        if options.incremental {
-            estimate_with_ctx(&mut self.ctx, scenario, options)
-        } else {
-            estimate_cold(&self.program, scenario, options)
+        let signals = self.signals.clone();
+        let (mut sizes, mut provenance) = seed_sizes(signals.iter(), options)?;
+        if all_proven(&provenance) {
+            return Ok(EstimationReport {
+                converged: true,
+                history: Vec::new(),
+                final_sizes: sizes,
+                provenance,
+            });
         }
+
+        let mut history = Vec::new();
+        for _ in 0..options.max_iterations {
+            let obs = self.round(&sizes)?.measure(scenario)?;
+            let iteration = EstimationIteration {
+                sizes: sizes.clone(),
+                alarms: signals.iter().cloned().zip(obs.alarms.iter().copied()).collect(),
+                max_miss: signals.iter().cloned().zip(obs.max_miss.iter().copied()).collect(),
+            };
+            let clean = iteration.is_clean();
+            history.push(iteration);
+            if clean {
+                return Ok(EstimationReport {
+                    converged: true,
+                    final_sizes: sizes,
+                    history,
+                    provenance,
+                });
+            }
+            // grow the channels that missed; a proven channel that alarms
+            // loses its static provenance (the proof was wrong for this
+            // environment)
+            let mut capped = false;
+            for (signal, &miss) in signals.iter().zip(&obs.max_miss) {
+                if miss == 0 {
+                    continue;
+                }
+                let size = sizes.get_mut(signal).expect("channel seeded");
+                *size = match options.growth {
+                    GrowthPolicy::ByMaxMiss => *size + miss,
+                    GrowthPolicy::Doubling => (*size * 2).max(*size + 1),
+                };
+                provenance.insert(signal.clone(), Provenance::Dynamic);
+                if *size > options.max_size {
+                    capped = true;
+                }
+            }
+            if capped {
+                return Ok(EstimationReport {
+                    converged: false,
+                    final_sizes: sizes,
+                    history,
+                    provenance,
+                });
+            }
+        }
+        Ok(EstimationReport { converged: false, final_sizes: sizes, history, provenance })
+    }
+
+    /// The compiled round for one size map, building it on a miss.
+    fn round(&mut self, sizes: &BTreeMap<SigName, usize>) -> Result<&mut CompiledRound, GalsError> {
+        let key: Vec<usize> = self.signals.iter().map(|s| sizes[s]).collect();
+        if !self.compiled.contains_key(&key) {
+            if self.compiled.len() >= MAX_COMPILED_ROUNDS {
+                self.compiled.clear();
+            }
+            let d = self.cache.build(sizes, 1)?;
+            let reactor = Reactor::for_program(&d.program)?;
+            let id = |s: &SigName| reactor.sig_id(s.as_str()).expect("channel signal is interned");
+            let ids = d
+                .channels
+                .iter()
+                .map(|ch| {
+                    let maxmiss = ch.maxmiss_signal.as_ref().expect("instrumented build");
+                    (id(&ch.alarm_signal), id(maxmiss))
+                })
+                .collect();
+            self.compiled.insert(key.clone(), CompiledRound { reactor, ids });
+        }
+        Ok(self.compiled.get_mut(&key).expect("just inserted"))
+    }
+}
+
+/// One fully-elaborated round: the desynchronized network compiled to a
+/// reactor, plus each channel's alarm and max-consecutive-miss register
+/// ids (ids are *not* stable across rounds: deeper FIFOs intern extra
+/// stage signals).
+struct CompiledRound {
+    reactor: Reactor,
+    ids: Vec<(SigId, SigId)>,
+}
+
+/// What one measured round observed, in channel order.
+struct RoundObs {
+    /// Alarm-true events per channel.
+    alarms: Vec<usize>,
+    /// Final max-consecutive-miss register value per channel.
+    max_miss: Vec<usize>,
+}
+
+impl CompiledRound {
+    /// Runs `scenario` densely from instant 0 and reads the observables
+    /// straight off each reaction's output.
+    fn measure(&mut self, scenario: &Scenario) -> Result<RoundObs, GalsError> {
+        let dense = self.reactor.dense_scenario(scenario)?;
+        self.reactor.reset();
+        let mut alarms = vec![0usize; self.ids.len()];
+        let mut max_miss = vec![0i64; self.ids.len()];
+        for env in &dense {
+            let out = self.reactor.react_dense(env)?;
+            for (i, &(alarm_id, maxmiss_id)) in self.ids.iter().enumerate() {
+                if out.get(alarm_id) == Some(Value::TRUE) {
+                    alarms[i] += 1;
+                }
+                if let Some(v) = out.get(maxmiss_id).and_then(|v| v.as_int()) {
+                    max_miss[i] = v;
+                }
+            }
+        }
+        Ok(RoundObs { alarms, max_miss: max_miss.into_iter().map(|v| v.max(0) as usize).collect() })
     }
 }
 
@@ -294,9 +404,14 @@ fn all_proven(provenance: &BTreeMap<SigName, Provenance>) -> bool {
 }
 
 /// The reference loop: desynchronize from scratch and simulate through a
-/// [`Simulator`] every round. The incremental engine must match this
-/// observation for observation.
-fn estimate_cold(
+/// [`Simulator`] every round. [`estimate_buffer_sizes`] must match it
+/// observation for observation; the differential suite and the
+/// `EstimateEquiv` oracle compare the two.
+///
+/// # Errors
+///
+/// As [`estimate_buffer_sizes`].
+pub fn estimate_buffer_sizes_reference(
     program: &Program,
     scenario: &Scenario,
     options: &EstimationOptions,
@@ -380,354 +495,6 @@ fn estimate_cold(
     Ok(EstimationReport { converged: false, final_sizes: sizes, history, provenance })
 }
 
-/// Dense signal ids of one channel's observables, resolved against a
-/// compiled round's interner (ids are *not* stable across rounds: deeper
-/// FIFOs intern extra stage signals).
-struct ChannelIds {
-    /// The producer-side write signal (`x_in`) — a write attempt is this
-    /// signal being present.
-    in_id: SigId,
-    /// The alarm output (true = rejected write).
-    alarm_id: SigId,
-    /// The max-consecutive-miss register output.
-    maxmiss_id: SigId,
-}
-
-/// One fully-elaborated round: the desynchronized network compiled to a
-/// reactor, plus each channel's signal ids.
-struct CompiledRound {
-    reactor: Reactor,
-    ids: Vec<ChannelIds>,
-}
-
-/// What one measured round observed, in channel order.
-struct RoundObs {
-    /// Alarm-true events per channel.
-    alarms: Vec<usize>,
-    /// Final max-consecutive-miss register value per channel.
-    max_miss: Vec<usize>,
-    /// Per channel: the instant of its first write attempt together with
-    /// the register file as it stood *before* that instant (`None` = the
-    /// channel never saw a write). The next round resumes from the earliest
-    /// of these over its grown channels.
-    first_write: Vec<Option<(usize, Box<[Value]>)>>,
-}
-
-/// The donor state a warm start transplants from: the previous round's
-/// depth vector, register layout and first-write records. Spans and initial
-/// values are copied out of the previous reactor so the donor stays valid
-/// even if the compiled-round cache evicts it.
-struct PrevRound {
-    key: Vec<usize>,
-    spans: Vec<(String, usize, usize)>,
-    initial: Vec<Value>,
-    first_write: Vec<Option<(usize, Box<[Value]>)>>,
-}
-
-/// A planned warm start for one round.
-struct WarmPlan {
-    /// First instant to actually simulate; `[0, start)` is inherited.
-    start: usize,
-    /// The new reactor's register file at `start`, transplanted from the
-    /// donor.
-    registers: Box<[Value]>,
-    /// First-write records for channels that already wrote inside the
-    /// shared prefix, their snapshots re-expressed in the new layout.
-    carried: Vec<Option<(usize, Box<[Value]>)>>,
-}
-
-/// Compiled rounds kept per context before the memo is wholesale cleared.
-/// Estimation loops visit few distinct depth vectors (an ensemble worker
-/// revisits mostly the early ones), so a small bound with dumb eviction is
-/// plenty — the bound only guards pathological non-converging ensembles.
-const MAX_COMPILED_ROUNDS: usize = 64;
-
-/// Per-loop (or per-ensemble-worker) state of the incremental engine.
-struct EstimationCtx {
-    cache: DesyncCache,
-    /// Channel signals, fixing the channel order all dense vectors use.
-    signals: Vec<SigName>,
-    /// `Fifo_<x>` component name per channel (the register spans to swap on
-    /// growth).
-    fifo_names: Vec<String>,
-    /// Compiled rounds memoized by depth vector (in `signals` order).
-    compiled: FxHashMap<Vec<usize>, CompiledRound>,
-    /// Warm starts allowed? False when the source program declares names in
-    /// the generated channel namespace — such a program could read the
-    /// channel machinery, voiding the prefix-equivalence argument.
-    warm_ok: bool,
-}
-
-impl EstimationCtx {
-    fn new(program: &Program) -> Result<EstimationCtx, GalsError> {
-        let cache = DesyncCache::new(program, true)?;
-        let signals: Vec<SigName> = cache.signals().cloned().collect();
-        let fifo_names = signals.iter().map(|s| fifo_component_name(s.as_str())).collect();
-        let warm_ok = !cache.has_generated_name_collision();
-        Ok(EstimationCtx { cache, signals, fifo_names, compiled: FxHashMap::default(), warm_ok })
-    }
-
-    /// The compiled round for one depth vector, building it on a miss.
-    fn round(
-        &mut self,
-        sizes: &BTreeMap<SigName, usize>,
-        key: &[usize],
-    ) -> Result<&mut CompiledRound, GalsError> {
-        if !self.compiled.contains_key(key) {
-            if self.compiled.len() >= MAX_COMPILED_ROUNDS {
-                self.compiled.clear();
-            }
-            let d = self.cache.build(sizes, 1)?;
-            let reactor = Reactor::for_program(&d.program)?;
-            let ids = d
-                .channels
-                .iter()
-                .map(|ch| {
-                    let id = |s: &SigName| {
-                        reactor.sig_id(s.as_str()).expect("channel signal is interned")
-                    };
-                    ChannelIds {
-                        in_id: id(&ch.in_signal),
-                        alarm_id: id(&ch.alarm_signal),
-                        maxmiss_id: id(ch.maxmiss_signal.as_ref().expect("instrumented build")),
-                    }
-                })
-                .collect();
-            self.compiled.insert(key.to_vec(), CompiledRound { reactor, ids });
-        }
-        Ok(self.compiled.get_mut(key).expect("just inserted"))
-    }
-}
-
-/// The incremental estimation loop. Same observable behavior as
-/// [`estimate_cold`], round for round.
-fn estimate_with_ctx(
-    ctx: &mut EstimationCtx,
-    scenario: &Scenario,
-    options: &EstimationOptions,
-) -> Result<EstimationReport, GalsError> {
-    let signals = ctx.signals.clone();
-    let fifo_names = ctx.fifo_names.clone();
-    let warm_ok = ctx.warm_ok;
-    let (mut sizes, mut provenance) = seed_sizes(signals.iter(), options)?;
-    if all_proven(&provenance) {
-        return Ok(EstimationReport {
-            converged: true,
-            history: Vec::new(),
-            final_sizes: sizes,
-            provenance,
-        });
-    }
-
-    let mut history = Vec::new();
-    let mut prev: Option<PrevRound> = None;
-    for _ in 0..options.max_iterations {
-        let key: Vec<usize> = signals.iter().map(|s| sizes[s]).collect();
-        let round = ctx.round(&sizes, &key)?;
-        let dense = round.reactor.dense_scenario(scenario)?;
-        let plan = if warm_ok {
-            prev.as_ref().and_then(|p| plan_warm_start(p, &key, &fifo_names, &round.reactor))
-        } else {
-            None
-        };
-        let obs = measure_round(round, &dense, plan)?;
-        let iteration = EstimationIteration {
-            sizes: sizes.clone(),
-            alarms: signals.iter().cloned().zip(obs.alarms.iter().copied()).collect(),
-            max_miss: signals.iter().cloned().zip(obs.max_miss.iter().copied()).collect(),
-        };
-        let clean = iteration.is_clean();
-        history.push(iteration);
-        if clean {
-            return Ok(EstimationReport {
-                converged: true,
-                final_sizes: sizes,
-                history,
-                provenance,
-            });
-        }
-        prev = Some(PrevRound {
-            key,
-            spans: round.reactor.register_spans().to_vec(),
-            initial: round.reactor.initial_registers().to_vec(),
-            first_write: obs.first_write,
-        });
-        // grow the channels that missed; a proven channel that alarms loses
-        // its static provenance (the proof was wrong for this environment)
-        let mut capped = false;
-        for (signal, &miss) in signals.iter().zip(&obs.max_miss) {
-            if miss == 0 {
-                continue;
-            }
-            let size = sizes.get_mut(signal).expect("channel seeded");
-            *size = match options.growth {
-                GrowthPolicy::ByMaxMiss => *size + miss,
-                GrowthPolicy::Doubling => (*size * 2).max(*size + 1),
-            };
-            provenance.insert(signal.clone(), Provenance::Dynamic);
-            if *size > options.max_size {
-                capped = true;
-            }
-        }
-        if capped {
-            return Ok(EstimationReport {
-                converged: false,
-                final_sizes: sizes,
-                history,
-                provenance,
-            });
-        }
-    }
-    Ok(EstimationReport { converged: false, final_sizes: sizes, history, provenance })
-}
-
-/// Decides whether the new round (depth vector `key`, compiled to
-/// `reactor`) can resume from `prev` instead of starting cold, and builds
-/// the transplanted state if so.
-///
-/// Soundness (DESIGN.md §9): an untouched FIFO is observationally
-/// depth-independent — until its first write attempt its outputs and
-/// registers are what an empty FIFO of *any* depth produces. So up to
-/// `start` = the earliest first write attempt on any *grown* channel, the
-/// old and new networks behave identically, and the old round's register
-/// file at `start` is the new round's — modulo the grown FIFOs' registers,
-/// which are still at their initial values (validated here; any mismatch
-/// falls back to a cold start rather than trusting the assumption).
-fn plan_warm_start(
-    prev: &PrevRound,
-    key: &[usize],
-    fifo_names: &[String],
-    reactor: &Reactor,
-) -> Option<WarmPlan> {
-    let mut grown = Vec::new();
-    for (i, (&new, &old)) in key.iter().zip(&prev.key).enumerate() {
-        match new.cmp(&old) {
-            // a shrunken channel invalidates the prefix argument wholesale
-            Ordering::Less => return None,
-            Ordering::Greater => grown.push(i),
-            Ordering::Equal => {}
-        }
-    }
-    if grown.is_empty() {
-        return None;
-    }
-    let mut start = usize::MAX;
-    let mut donor: Option<&[Value]> = None;
-    for &i in &grown {
-        // a grown channel must have alarmed, hence written; `None` here
-        // means the bookkeeping lost its first write — start cold
-        let (t, regs) = prev.first_write[i].as_ref()?;
-        if *t < start {
-            start = *t;
-            donor = Some(regs);
-        }
-    }
-    if start == 0 {
-        return None;
-    }
-    let grown_fifos: Vec<&str> = grown.iter().map(|&i| fifo_names[i].as_str()).collect();
-    let registers = transplant(prev, donor?, reactor, &grown_fifos)?;
-    // channels that first wrote inside the shared prefix keep their record
-    // (the new round will not replay those instants), snapshots
-    // re-expressed in the new register layout
-    let mut carried: Vec<Option<(usize, Box<[Value]>)>> = vec![None; key.len()];
-    for (slot, fw) in carried.iter_mut().zip(&prev.first_write) {
-        if let Some((t, regs)) = fw {
-            if *t < start {
-                *slot = Some((*t, transplant(prev, regs, reactor, &grown_fifos)?));
-            }
-        }
-    }
-    Some(WarmPlan { start, registers, carried })
-}
-
-/// Re-expresses a donor register file in the new reactor's layout:
-/// unchanged components copy their span verbatim; grown FIFOs keep the new
-/// initial block, *provided* the donor still had them at their initial
-/// values (i.e. genuinely untouched). Any structural surprise returns
-/// `None` — the caller starts cold.
-fn transplant(
-    prev: &PrevRound,
-    old_regs: &[Value],
-    reactor: &Reactor,
-    grown_fifos: &[&str],
-) -> Option<Box<[Value]>> {
-    let new_spans = reactor.register_spans();
-    if prev.spans.len() != new_spans.len() {
-        return None;
-    }
-    let mut regs: Vec<Value> = reactor.initial_registers().to_vec();
-    for ((oname, ostart, olen), (nname, nstart, nlen)) in prev.spans.iter().zip(new_spans) {
-        if oname != nname {
-            return None;
-        }
-        if grown_fifos.contains(&nname.as_str()) {
-            if old_regs[*ostart..*ostart + *olen] != prev.initial[*ostart..*ostart + *olen] {
-                return None;
-            }
-        } else {
-            if olen != nlen {
-                return None;
-            }
-            regs[*nstart..*nstart + *nlen].copy_from_slice(&old_regs[*ostart..*ostart + *olen]);
-        }
-    }
-    Some(regs.into_boxed_slice())
-}
-
-/// Runs one round on dense environments, cold (`plan: None`) or resuming a
-/// warm plan, and reads the observables straight off each reaction's
-/// output.
-///
-/// Observation equivalence with the cold [`measure`]: a warm prefix
-/// contributes no alarms (non-grown channels had none all round, grown ones
-/// had not yet written) and holds every miss register at 0, so counting
-/// from `start` with zeroed accumulators is exact.
-fn measure_round(
-    round: &mut CompiledRound,
-    dense: &[DenseEnv],
-    plan: Option<WarmPlan>,
-) -> Result<RoundObs, GalsError> {
-    let nch = round.ids.len();
-    let (start, mut first_write) = match plan {
-        Some(WarmPlan { start, registers, carried }) => {
-            round.reactor.restore(&ReactorState::new(registers, start));
-            (start, carried)
-        }
-        None => {
-            round.reactor.reset();
-            (0, vec![None; nch])
-        }
-    };
-    let mut alarms = vec![0usize; nch];
-    let mut max_miss = vec![0i64; nch];
-    let mut pending = first_write.iter().filter(|f| f.is_none()).count();
-    for (k, env) in dense.iter().enumerate().skip(start) {
-        // registers as they stand before this instant: the donor state a
-        // later round resumes from if some channel first writes now
-        let snap: Option<Box<[Value]>> =
-            (pending > 0).then(|| round.reactor.registers().to_vec().into_boxed_slice());
-        let out = round.reactor.react_dense(env)?;
-        for (i, ids) in round.ids.iter().enumerate() {
-            if first_write[i].is_none() && out.get(ids.in_id).is_some() {
-                first_write[i] = Some((k, snap.clone().expect("snapshot taken while pending")));
-                pending -= 1;
-            }
-            if out.get(ids.alarm_id) == Some(Value::TRUE) {
-                alarms[i] += 1;
-            }
-            if let Some(v) = out.get(ids.maxmiss_id).and_then(|v| v.as_int()) {
-                max_miss[i] = v;
-            }
-        }
-    }
-    Ok(RoundObs {
-        alarms,
-        max_miss: max_miss.into_iter().map(|v| v.max(0) as usize).collect(),
-        first_write,
-    })
-}
-
 /// The outcome of an ensemble estimation: one report per scenario plus the
 /// per-channel worst case over the whole ensemble.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -764,15 +531,11 @@ pub fn estimate_buffer_sizes_ensemble(
         scenarios,
         MIN_SCENARIOS_PER_CHUNK,
         |_start, chunk| -> Result<Vec<EstimationReport>, GalsError> {
-            if options.incremental {
-                // one skeleton + compiled-round memo per worker: every
-                // scenario starts from the same depth vector, so later
-                // scenarios in the chunk hit the compiled cache
-                let mut ctx = EstimationCtx::new(program)?;
-                chunk.iter().map(|s| estimate_with_ctx(&mut ctx, s, options)).collect()
-            } else {
-                chunk.iter().map(|s| estimate_cold(program, s, options)).collect()
-            }
+            // one skeleton + compiled-round memo per worker: every
+            // scenario starts from the same depth vector, so later
+            // scenarios in the chunk hit the compiled cache
+            let mut estimator = Estimator::new(program)?;
+            chunk.iter().map(|s| estimator.estimate(s, options)).collect()
         },
     );
     let mut reports = Vec::with_capacity(scenarios.len());
@@ -820,6 +583,12 @@ mod tests {
     use polysig_sim::generator::master_clock;
     use polysig_sim::{BurstyInputs, PeriodicInputs, ScenarioGenerator};
     use polysig_tagged::ValueType;
+
+    type Engine =
+        fn(&Program, &Scenario, &EstimationOptions) -> Result<EstimationReport, GalsError>;
+
+    /// The cached engine and the reference loop.
+    const ENGINES: [Engine; 2] = [estimate_buffer_sizes, estimate_buffer_sizes_reference];
 
     fn pipe() -> Program {
         parse_program(
@@ -947,7 +716,7 @@ mod tests {
 
     /// Writer starting at `wphase` (then every tick), reader every
     /// `rd_period` from instant 0 — a nonzero `wphase` delays the first
-    /// write attempt, which is what lets a warm start skip a prefix.
+    /// write attempt.
     fn phased_env(steps: usize, wphase: usize, rd_period: usize) -> Scenario {
         PeriodicInputs::new("a", ValueType::Int, 1, wphase)
             .generate(steps)
@@ -957,136 +726,12 @@ mod tests {
 
     #[test]
     fn incremental_matches_cold_reference() {
-        let cold_opts = EstimationOptions { incremental: false, ..Default::default() };
         for scenario in [env(24, 2, 2), env(12, 1, 3), phased_env(16, 3, 4), phased_env(30, 5, 2)] {
             let warm = estimate_buffer_sizes(&pipe(), &scenario, &Default::default()).unwrap();
-            let cold = estimate_buffer_sizes(&pipe(), &scenario, &cold_opts).unwrap();
+            let cold =
+                estimate_buffer_sizes_reference(&pipe(), &scenario, &Default::default()).unwrap();
             assert_eq!(warm, cold);
         }
-    }
-
-    #[test]
-    fn warm_start_plan_engages_at_first_write_instant() {
-        // drive the internals by hand: round 1 at depth 1, then check the
-        // grown round's plan resumes at the first write attempt (instant 3)
-        let scenario = phased_env(16, 3, 4);
-        let mut ctx = EstimationCtx::new(&pipe()).unwrap();
-        assert!(ctx.warm_ok);
-
-        let sizes1: BTreeMap<SigName, usize> = [(SigName::from("x"), 1)].into();
-        let round1 = ctx.round(&sizes1, &[1]).unwrap();
-        let dense = round1.reactor.dense_scenario(&scenario).unwrap();
-        let obs = measure_round(round1, &dense, None).unwrap();
-        let (t, _) = obs.first_write[0].as_ref().expect("the writer wrote");
-        assert_eq!(*t, 3);
-        let miss = obs.max_miss[0];
-        assert!(miss > 0, "depth 1 must overflow under this workload");
-        let prev = PrevRound {
-            key: vec![1],
-            spans: round1.reactor.register_spans().to_vec(),
-            initial: round1.reactor.initial_registers().to_vec(),
-            first_write: obs.first_write,
-        };
-
-        let key2 = vec![1 + miss];
-        let sizes2: BTreeMap<SigName, usize> = [(SigName::from("x"), 1 + miss)].into();
-        let round2 = ctx.round(&sizes2, &key2).unwrap();
-        let plan = plan_warm_start(&prev, &key2, &[fifo_component_name("x")], &round2.reactor)
-            .expect("growth after a delayed first write must warm start");
-        assert_eq!(plan.start, 3);
-        assert_eq!(plan.registers.len(), round2.reactor.register_count());
-
-        // a shrink, an equal key, or a zero-instant prefix must refuse
-        assert!(
-            plan_warm_start(&prev, &[0], &[fifo_component_name("x")], &round2.reactor).is_none()
-        );
-        assert!(
-            plan_warm_start(&prev, &[1], &[fifo_component_name("x")], &round2.reactor).is_none()
-        );
-    }
-
-    #[test]
-    fn transplant_rejects_structural_mismatches() {
-        // exercise every cold-fallback branch of `transplant` directly: a
-        // donor that disagrees with the new reactor's layout in any way must
-        // return None (the loop then starts cold) rather than guess
-        let mut ctx = EstimationCtx::new(&pipe()).unwrap();
-        let sizes1: BTreeMap<SigName, usize> = [(SigName::from("x"), 1)].into();
-        let (spans, initial) = {
-            let r1 = ctx.round(&sizes1, &[1]).unwrap();
-            (r1.reactor.register_spans().to_vec(), r1.reactor.initial_registers().to_vec())
-        };
-        let sizes2: BTreeMap<SigName, usize> = [(SigName::from("x"), 3)].into();
-        let fifo = fifo_component_name("x");
-        let fifo_span = spans
-            .iter()
-            .find(|(n, _, len)| *n == fifo && *len > 0)
-            .cloned()
-            .expect("the FIFO component has registers");
-        let round2 = ctx.round(&sizes2, &[3]).unwrap();
-        let prev = |spans: Vec<(String, usize, usize)>, initial: Vec<Value>| PrevRound {
-            key: vec![1],
-            spans,
-            initial,
-            first_write: vec![None],
-        };
-
-        // healthy donor at initial values: accepted
-        let healthy = prev(spans.clone(), initial.clone());
-        assert!(transplant(&healthy, &initial, &round2.reactor, &[fifo.as_str()]).is_some());
-
-        // span-count mismatch: donor recorded one span fewer
-        let mut fewer = spans.clone();
-        fewer.pop();
-        assert!(transplant(
-            &prev(fewer, initial.clone()),
-            &initial,
-            &round2.reactor,
-            &[fifo.as_str()]
-        )
-        .is_none());
-
-        // component-name mismatch in one span
-        let mut renamed = spans.clone();
-        renamed[0].0 = "NotAComponent".to_string();
-        assert!(transplant(
-            &prev(renamed, initial.clone()),
-            &initial,
-            &round2.reactor,
-            &[fifo.as_str()]
-        )
-        .is_none());
-
-        // span-length mismatch: the grown FIFO's span differs between
-        // depths, so failing to list it as grown trips the length check
-        assert!(transplant(&healthy, &initial, &round2.reactor, &[]).is_none());
-
-        // grown FIFO whose donor registers are NOT at their initial values:
-        // the "genuinely untouched" precondition fails
-        let mut touched = initial.clone();
-        touched[fifo_span.1] = Value::Int(99);
-        assert!(
-            transplant(&healthy, &touched, &round2.reactor, &[fifo.as_str()]).is_none(),
-            "a written-to grown FIFO must force a cold start"
-        );
-    }
-
-    #[test]
-    fn missing_first_write_record_refuses_warm_start() {
-        // a grown channel whose first-write bookkeeping is empty cannot
-        // anchor a resume point: the plan must refuse
-        let mut ctx = EstimationCtx::new(&pipe()).unwrap();
-        let sizes1: BTreeMap<SigName, usize> = [(SigName::from("x"), 1)].into();
-        let (spans, initial) = {
-            let r1 = ctx.round(&sizes1, &[1]).unwrap();
-            (r1.reactor.register_spans().to_vec(), r1.reactor.initial_registers().to_vec())
-        };
-        let prev = PrevRound { key: vec![1], spans, initial, first_write: vec![None] };
-        let sizes2: BTreeMap<SigName, usize> = [(SigName::from("x"), 2)].into();
-        let round2 = ctx.round(&sizes2, &[2]).unwrap();
-        assert!(
-            plan_warm_start(&prev, &[2], &[fifo_component_name("x")], &round2.reactor).is_none()
-        );
     }
 
     #[test]
@@ -1097,45 +742,37 @@ mod tests {
         let scenario = phased_env(16, 3, 4);
         for initial_size in [4usize, 1] {
             let opts = EstimationOptions { initial_size, ..Default::default() };
-            let cold = EstimationOptions { incremental: false, ..opts.clone() };
             assert_eq!(
                 estimate_buffer_sizes(&pipe(), &scenario, &opts).unwrap(),
-                estimate_buffer_sizes(&pipe(), &scenario, &cold).unwrap(),
+                estimate_buffer_sizes_reference(&pipe(), &scenario, &opts).unwrap(),
                 "initial_size={initial_size}"
             );
         }
     }
 
     #[test]
-    fn generated_namespace_collision_disables_warm_start_but_matches() {
-        // `x_probe` sits in the channel's generated namespace: the engine
-        // must refuse warm starts yet still produce the reference report
+    fn generated_namespace_collision_matches_reference() {
+        // `x_probe` sits in the channel's generated namespace: the cached
+        // engine must still produce the reference report
         let p = parse_program(
             "process P { input a: int; output x: int; local x_probe: int; \
                          x := a; x_probe := x; } \
              process Q { input x: int; output y: int; y := x; }",
         )
         .unwrap();
-        assert!(!EstimationCtx::new(&p).unwrap().warm_ok);
         let scenario = phased_env(16, 3, 4);
         let warm = estimate_buffer_sizes(&p, &scenario, &Default::default()).unwrap();
-        let cold = estimate_buffer_sizes(
-            &p,
-            &scenario,
-            &EstimationOptions { incremental: false, ..Default::default() },
-        )
-        .unwrap();
+        let cold = estimate_buffer_sizes_reference(&p, &scenario, &Default::default()).unwrap();
         assert_eq!(warm, cold);
     }
 
     #[test]
     fn nondefault_initial_size_matches_cold() {
         let opts = EstimationOptions { initial_size: 2, ..Default::default() };
-        let cold_opts = EstimationOptions { initial_size: 2, incremental: false, ..opts.clone() };
         let scenario = phased_env(20, 2, 3);
         assert_eq!(
             estimate_buffer_sizes(&pipe(), &scenario, &opts).unwrap(),
-            estimate_buffer_sizes(&pipe(), &scenario, &cold_opts).unwrap(),
+            estimate_buffer_sizes_reference(&pipe(), &scenario, &opts).unwrap(),
         );
     }
 
@@ -1147,13 +784,12 @@ mod tests {
         let plain = estimate_buffer_sizes(&pipe(), &scenario, &Default::default()).unwrap();
         assert!(plain.converged);
         let depth = plain.size_of(&"x".into()).unwrap();
-        for incremental in [true, false] {
+        for estimate in ENGINES {
             let opts = EstimationOptions {
                 proven: [(SigName::from("x"), depth)].into(),
-                incremental,
                 ..Default::default()
             };
-            let warm = estimate_buffer_sizes(&pipe(), &scenario, &opts).unwrap();
+            let warm = estimate(&pipe(), &scenario, &opts).unwrap();
             assert!(warm.converged);
             assert_eq!(warm.iterations(), 0, "all-proven must not simulate");
             assert_eq!(warm.final_sizes, plain.final_sizes);
@@ -1184,13 +820,12 @@ mod tests {
         assert!(plain.converged);
         let needed = plain.size_of(&"x".into()).unwrap();
         assert!(needed > 1);
-        for incremental in [true, false] {
+        for estimate in ENGINES {
             let opts = EstimationOptions {
                 proven: [(SigName::from("x"), 1)].into(),
-                incremental,
                 ..Default::default()
             };
-            let report = estimate_buffer_sizes(&p, &scenario, &opts).unwrap();
+            let report = estimate(&p, &scenario, &opts).unwrap();
             assert!(report.converged);
             assert_eq!(report.final_sizes, plain.final_sizes);
             assert_eq!(report.provenance[&SigName::from("x")], Provenance::Dynamic);
@@ -1217,13 +852,12 @@ mod tests {
         let plain = estimate_buffer_sizes(&p, &scenario, &Default::default()).unwrap();
         assert!(plain.converged);
         let x_depth = plain.size_of(&"x".into()).unwrap();
-        for incremental in [true, false] {
+        for estimate in ENGINES {
             let opts = EstimationOptions {
                 proven: [(SigName::from("x"), x_depth)].into(),
-                incremental,
                 ..Default::default()
             };
-            let warm = estimate_buffer_sizes(&p, &scenario, &opts).unwrap();
+            let warm = estimate(&p, &scenario, &opts).unwrap();
             assert!(warm.converged);
             assert_eq!(warm.final_sizes, plain.final_sizes);
             assert!(warm.iterations() < plain.iterations(), "warm start must skip rounds");
@@ -1245,13 +879,12 @@ mod tests {
 
     #[test]
     fn proven_unknown_channel_is_rejected() {
-        for incremental in [true, false] {
+        for estimate in ENGINES {
             let opts = EstimationOptions {
                 proven: [(SigName::from("nope"), 2)].into(),
-                incremental,
                 ..Default::default()
             };
-            let err = estimate_buffer_sizes(&pipe(), &env(8, 2, 2), &opts).unwrap_err();
+            let err = estimate(&pipe(), &env(8, 2, 2), &opts).unwrap_err();
             assert!(
                 matches!(err, GalsError::UnknownChannel { signal } if signal.as_str() == "nope")
             );
@@ -1260,17 +893,16 @@ mod tests {
 
     #[test]
     fn proven_reports_match_between_engines() {
-        // field-for-field equality cold vs incremental with a mixed proven
+        // field-for-field equality reference vs cached with a mixed proven
         // map (the EstimateEquiv oracle's contract, extended to provenance)
         let scenario = env(12, 1, 3);
         for proven_depth in [1usize, 3, 6] {
-            let mk = |incremental| EstimationOptions {
+            let opts = EstimationOptions {
                 proven: [(SigName::from("x"), proven_depth)].into(),
-                incremental,
                 ..Default::default()
             };
-            let warm = estimate_buffer_sizes(&pipe(), &scenario, &mk(true)).unwrap();
-            let cold = estimate_buffer_sizes(&pipe(), &scenario, &mk(false)).unwrap();
+            let warm = estimate_buffer_sizes(&pipe(), &scenario, &opts).unwrap();
+            let cold = estimate_buffer_sizes_reference(&pipe(), &scenario, &opts).unwrap();
             assert_eq!(warm, cold, "proven_depth={proven_depth}");
         }
     }

@@ -74,8 +74,8 @@ pub use closedloop::{run_masked, MaskedRun};
 pub use desync::{desynchronize, DesyncCache, DesyncOptions, Desynchronized};
 pub use error::GalsError;
 pub use estimate::{
-    estimate_buffer_sizes, estimate_buffer_sizes_ensemble, EnsembleReport, EstimationOptions,
-    EstimationReport, Estimator, Provenance,
+    estimate_buffer_sizes, estimate_buffer_sizes_ensemble, estimate_buffer_sizes_reference,
+    EnsembleReport, EstimationOptions, EstimationReport, Estimator, Provenance,
 };
 pub use fork::{fork_component, fork_shared_signals, merge_component};
 pub use partition::{channels_of_program, ChannelSpec};

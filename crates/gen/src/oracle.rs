@@ -11,7 +11,9 @@ use std::fmt;
 use std::str::FromStr;
 
 use polysig_analyze::{prove_bounds, ChannelBound, ProveOptions};
-use polysig_gals::estimate::{estimate_buffer_sizes, EstimationOptions};
+use polysig_gals::estimate::{
+    estimate_buffer_sizes, estimate_buffer_sizes_reference, EstimationOptions,
+};
 use polysig_gals::{desynchronize, DesyncOptions};
 use polysig_lang::resolve::resolve_program;
 use polysig_lang::types::check_program;
@@ -64,8 +66,9 @@ pub enum OracleKind {
     /// same cycle with its first state open to every letter, which leaves
     /// the SAT search and the minimization a real choice.
     BmcEquiv,
-    /// The incremental estimation engine must produce a report identical to
-    /// the cold reference engine.
+    /// The cached estimation engine (`estimate_buffer_sizes`) must produce a
+    /// report identical to the reference loop
+    /// (`estimate_buffer_sizes_reference`).
     EstimateEquiv,
     /// After desynchronizing with converged estimated sizes, every channel
     /// flow and final output flow of the GALS model must be a prefix of the
@@ -571,7 +574,10 @@ fn bmc_equiv(case: &GenCase) -> Result<(), Failure> {
 /// violation the symbolic trace (already concretely replayed by the
 /// backend) must equal the explicit BFS counterexample letter for letter.
 /// The second leg opens the cycle's first state to every letter of the
-/// alphabet. Returns how each leg ended (none for a case without a
+/// alphabet. A synchronous ring never lowers (its merged clock is a cycle
+/// through `default`), so ring cases run both legs on the ring's depth-1
+/// desynchronized network instead, with every channel read at every
+/// instant. Returns how each leg ended (none for a case without a
 /// scenario or an invariance property).
 ///
 /// # Errors
@@ -581,15 +587,28 @@ pub fn bmc_equiv_legs(case: &GenCase) -> Result<Vec<BmcLeg>, Failure> {
     if case.scenario.is_empty() {
         return Ok(Vec::new());
     }
-    let Some(property) = invariance_property(&case.program) else { return Ok(Vec::new()) };
+    let network = match case.shape {
+        Shape::Ring => {
+            let d = desynchronize(&case.program, &DesyncOptions::with_size(1).lenient())
+                .map_err(|e| Failure::new(OracleKind::BmcEquiv, format!("desync: {e}")))?;
+            let scenario = d.driver_scenario(case.scenario.len(), 1).zip_union(&case.scenario);
+            Some((d.program, scenario))
+        }
+        _ => None,
+    };
+    let (program, scenario) = match &network {
+        Some((p, s)) => (p, s),
+        None => (&case.program, &case.scenario),
+    };
+    let Some(property) = invariance_property(program) else { return Ok(Vec::new()) };
     let mut letters: Vec<Letter> = Vec::new();
-    for step in case.scenario.iter() {
+    for step in scenario.iter() {
         if !letters.contains(step) {
             letters.push(step.clone());
         }
     }
     let Ok(mut alphabet) = Alphabet::from_letters(letters) else { return Ok(Vec::new()) };
-    let sequence: Vec<Letter> = case.scenario.iter().cloned().collect();
+    let sequence: Vec<Letter> = scenario.iter().cloned().collect();
     let cycle = EnvAutomaton::cycle(&mut alphabet, &sequence);
     let mut open = cycle.clone();
     let successor = cycle.moves(0).map(|(_, to)| to).next().expect("a cycle state has a move");
@@ -600,10 +619,10 @@ pub fn bmc_equiv_legs(case: &GenCase) -> Result<Vec<BmcLeg>, Failure> {
     }
     // both engines are cut at the same horizon, so the comparison stays
     // exact; capping bounds the cost of unrolling long scenarios
-    let depth = case.scenario.len().min(10);
+    let depth = scenario.len().min(10);
     [("cycle", cycle), ("open cycle", open)]
         .into_iter()
-        .map(|(leg, env)| bmc_leg(leg, &case.program, &alphabet, &property, env, depth))
+        .map(|(leg, env)| bmc_leg(leg, program, &alphabet, &property, env, depth))
         .collect()
 }
 
@@ -703,19 +722,18 @@ fn describe<T, E: fmt::Display>(r: &Result<T, E>) -> String {
 fn estimate_equiv(case: &GenCase) -> Result<(), Failure> {
     let k = OracleKind::EstimateEquiv;
     let Some(est) = &case.est_scenario else { return Ok(()) };
-    let cold_opts = EstimationOptions { incremental: false, threads: 1, ..Default::default() };
-    let inc_opts = EstimationOptions { incremental: true, threads: 1, ..Default::default() };
-    let cold = estimate_buffer_sizes(&case.program, est, &cold_opts);
-    let inc = estimate_buffer_sizes(&case.program, est, &inc_opts);
+    let opts = EstimationOptions { threads: 1, ..Default::default() };
+    let cold = estimate_buffer_sizes_reference(&case.program, est, &opts);
+    let inc = estimate_buffer_sizes(&case.program, est, &opts);
     match (cold, inc) {
         (Ok(a), Ok(b)) => {
             if a != b {
                 Err(Failure::new(
                     k,
                     format!(
-                        "incremental report differs from cold reference: cold {} rounds \
-                         (converged {}), incremental {} rounds (converged {}); cold sizes {:?}, \
-                         incremental sizes {:?}",
+                        "cached report differs from the reference: reference {} rounds \
+                         (converged {}), cached {} rounds (converged {}); reference sizes {:?}, \
+                         cached sizes {:?}",
                         a.iterations(),
                         a.converged,
                         b.iterations(),
@@ -730,7 +748,10 @@ fn estimate_equiv(case: &GenCase) -> Result<(), Failure> {
         }
         (Err(a), Err(b)) => {
             if a.to_string() != b.to_string() {
-                Err(Failure::new(k, format!("engines fail differently: cold `{a}`, inc `{b}`")))
+                Err(Failure::new(
+                    k,
+                    format!("engines fail differently: reference `{a}`, cached `{b}`"),
+                ))
             } else {
                 Ok(())
             }
@@ -738,7 +759,7 @@ fn estimate_equiv(case: &GenCase) -> Result<(), Failure> {
         (a, b) => Err(Failure::new(
             k,
             format!(
-                "engines disagree on success: cold {}, incremental {}",
+                "engines disagree on success: reference {}, cached {}",
                 describe(&a),
                 describe(&b)
             ),

@@ -38,8 +38,9 @@ use crate::lexer::{tokenize, Spanned, Token};
 /// resolution, typing, the clock calculus, analysis, lowering) recurse once
 /// per level, and a stack overflow aborts the process rather than
 /// unwinding; 128 levels sit well inside a 2 MiB thread stack even in a
-/// debug build. The printer parenthesizes every compound node, so its text
-/// for an expression of depth `d` has depth `2d`.
+/// debug build. The printer adds only the parentheses the grammar needs,
+/// so its text is never deeper than the source it came from: every program
+/// the parser accepts prints to text the parser accepts again.
 pub const MAX_EXPR_DEPTH: usize = 128;
 
 /// Parses a whole program (one or more `process` blocks).
@@ -579,12 +580,19 @@ mod tests {
         assert!(too_deep(&sum(100_000)));
         let err = parse_program(&sum(MAX_EXPR_DEPTH + 2)).unwrap_err();
         assert!(err.to_string().contains("nests deeper than 128 levels"), "{err}");
-        // the printer parenthesizes each node, doubling the depth: its text
-        // is refused with the same structured error, not a stack overflow
-        let printed = crate::pretty_program(&at_bound);
-        assert!(too_deep(&printed));
+        // a left-nested chain needs no parentheses, so the printer adds
+        // none: its text of the sum at the bound reparses to the same program
+        assert_eq!(parse_program(&crate::pretty_program(&at_bound)).unwrap(), at_bound);
         let half = crate::check_program(&sum(MAX_EXPR_DEPTH / 2 + 1)).unwrap();
         assert_eq!(parse_program(&crate::pretty_program(&half)).unwrap(), half);
+        // a right-nested chain needs a pair of parentheses per node:
+        // `a - (a - (… (a - - a)))` with 64 nodes sits exactly at the bound
+        let right = |nodes: usize| {
+            with_rhs(&(1..nodes).fold("a - - a".to_string(), |e, _| format!("a - ({e})")))
+        };
+        let nested = crate::check_program(&right(MAX_EXPR_DEPTH / 2)).expect("right chain");
+        assert!(too_deep(&right(MAX_EXPR_DEPTH / 2 + 1)));
+        assert_eq!(parse_program(&crate::pretty_program(&nested)).unwrap(), nested);
     }
 
     #[test]

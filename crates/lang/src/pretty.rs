@@ -1,33 +1,85 @@
 //! Pretty-printer: renders ASTs back to parseable concrete syntax.
 //!
-//! The printer round-trips: `parse(pretty(p))` yields an equal AST (up to
-//! redundant parentheses), which the test-suite checks.
+//! The printer round-trips: `parse(pretty(p))` yields an equal AST, which
+//! the test-suite checks. It prints only the parentheses the grammar
+//! needs, so the printed text is never deeper than any source of the same
+//! AST and every program the parser accepts prints to text it accepts
+//! again (see [`crate::MAX_EXPR_DEPTH`]).
 
 use std::fmt::Write as _;
 
-use crate::ast::{Component, Expr, Program, Role, Statement, Unop};
+use crate::ast::{Binop, Component, Expr, Program, Role, Statement, Unop};
 
-/// Renders an expression with explicit parentheses around every compound
-/// sub-expression, guaranteeing the round-trip property.
-pub fn pretty_expr(e: &Expr) -> String {
+/// The binding strength of comparisons.
+const COMPARISON: u8 = 4;
+/// The binding strength of prefix operators, whose operand is a prefix
+/// operator or a leaf.
+const PREFIX: u8 = 7;
+
+/// Binding strength, loosest first: `default`, `when`, `or`, `and`,
+/// comparisons, `+`/`-`, `*`, prefix operators, then leaves.
+fn level(e: &Expr) -> u8 {
     match e {
-        Expr::Var(x) => x.to_string(),
-        Expr::Const(v) => v.to_string(),
-        Expr::Pre { init, body } => format!("(pre {init} {})", pretty_expr(body)),
-        Expr::When { body, cond } => {
-            format!("({} when {})", pretty_expr(body), pretty_expr(cond))
-        }
-        Expr::Default { left, right } => {
-            format!("({} default {})", pretty_expr(left), pretty_expr(right))
-        }
-        Expr::Unary { op, arg } => match op {
-            Unop::Not => format!("(not {})", pretty_expr(arg)),
-            Unop::Neg => format!("(- {})", pretty_expr(arg)),
-            Unop::ClockOf => format!("(^ {})", pretty_expr(arg)),
+        Expr::Default { .. } => 0,
+        Expr::When { .. } => 1,
+        Expr::Binary { op, .. } => match op {
+            Binop::Or => 2,
+            Binop::And => 3,
+            Binop::Eq | Binop::Ne | Binop::Lt | Binop::Le | Binop::Gt | Binop::Ge => COMPARISON,
+            Binop::Add | Binop::Sub => 5,
+            Binop::Mul => 6,
         },
-        Expr::Binary { op, left, right } => {
-            format!("({} {op} {})", pretty_expr(left), pretty_expr(right))
+        Expr::Unary { .. } | Expr::Pre { .. } => PREFIX,
+        Expr::Var(_) | Expr::Const(_) => 8,
+    }
+}
+
+/// Renders an expression with only the parentheses its structure needs.
+pub fn pretty_expr(e: &Expr) -> String {
+    let mut out = String::new();
+    write_expr(&mut out, e, 0);
+    out
+}
+
+/// Appends `e` in a slot that binds at least as tight as `min`,
+/// parenthesizing it when it binds looser.
+fn write_expr(out: &mut String, e: &Expr, min: u8) {
+    let l = level(e);
+    if l < min {
+        out.push('(');
+    }
+    match e {
+        Expr::Var(x) => out.push_str(x.as_str()),
+        Expr::Const(v) => {
+            let _ = write!(out, "{v}");
         }
+        Expr::Pre { init, body } => {
+            let _ = write!(out, "pre {init} ");
+            write_expr(out, body, PREFIX);
+        }
+        Expr::Unary { op, arg } => {
+            out.push_str(match op {
+                Unop::Not => "not ",
+                Unop::Neg => "- ",
+                Unop::ClockOf => "^ ",
+            });
+            write_expr(out, arg, PREFIX);
+        }
+        Expr::When { body: left, cond: right } | Expr::Default { left, right } => {
+            // left-associative: the right operand binds one level tighter
+            write_expr(out, left, l);
+            out.push_str(if l == 0 { " default " } else { " when " });
+            write_expr(out, right, l + 1);
+        }
+        Expr::Binary { op, left, right } => {
+            // comparisons do not associate, so neither side may be one
+            write_expr(out, left, if l == COMPARISON { l + 1 } else { l });
+            let _ = write!(out, " {op} ");
+            write_expr(out, right, l + 1);
+        }
+    }
+    if l < min {
+        out.push(')');
     }
 }
 
@@ -105,6 +157,21 @@ mod tests {
             let printed = pretty_expr(&e);
             let reparsed = parse_expr(&printed).unwrap();
             assert_eq!(e, reparsed, "round-trip failed for `{src}` -> `{printed}`");
+        }
+    }
+
+    #[test]
+    fn prints_only_the_parentheses_the_grammar_needs() {
+        for (src, want) in [
+            ("((a + b)) * c", "(a + b) * c"),
+            ("a + (b * c)", "a + b * c"),
+            ("(a - b) - c", "a - b - c"),
+            ("a - (b - c)", "a - (b - c)"),
+            ("(a when b) default (c default d)", "a when b default (c default d)"),
+            ("(a < b) = (c = d)", "(a < b) = (c = d)"),
+            ("not (a and b) or (pre 0 x)", "not (a and b) or pre 0 x"),
+        ] {
+            assert_eq!(pretty_expr(&parse_expr(src).unwrap()), want, "{src}");
         }
     }
 

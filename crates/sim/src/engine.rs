@@ -5,7 +5,7 @@ use polysig_lang::{Component, Program};
 use polysig_tagged::{Behavior, SigName, Tag, Value};
 
 use crate::error::SimError;
-use crate::reactor::{Reactor, ReactorState};
+use crate::reactor::Reactor;
 use crate::scenario::Scenario;
 
 /// The result of running a scenario.
@@ -119,72 +119,6 @@ impl Simulator {
     pub fn reset(&mut self) {
         self.reactor.reset();
     }
-
-    /// Captures a resumable split point: the current reactor state together
-    /// with the behavior recorded so far (`recorded` must be the [`Run`]
-    /// that brought the simulator to its current state).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `recorded.steps` disagrees with the reactor's step counter
-    /// — the checkpoint would pair a state with somebody else's prefix.
-    pub fn checkpoint(&self, recorded: &Run) -> SimCheckpoint {
-        let state = self.reactor.snapshot();
-        assert_eq!(
-            recorded.steps,
-            state.step(),
-            "checkpoint prefix does not match the reactor state"
-        );
-        SimCheckpoint { state, prefix: recorded.clone() }
-    }
-
-    /// Restores a checkpoint and runs `rest` from it, returning the full
-    /// run: the checkpoint's prefix followed by the continuation, exactly as
-    /// if the whole scenario had been run in one [`Simulator::run`] call.
-    ///
-    /// # Errors
-    ///
-    /// Stops at the first reaction error, like [`Simulator::run`].
-    pub fn resume(&mut self, cp: &SimCheckpoint, rest: &Scenario) -> Result<Run, SimError> {
-        self.reactor.restore(&cp.state);
-        let cont = self.run(rest)?;
-        // continuation tags start past every prefix tag (the reactor's step
-        // counter resumed from the checkpoint), so appending preserves the
-        // chain condition
-        let mut behavior = cp.prefix.behavior.clone();
-        for (name, trace) in cont.behavior.iter() {
-            for ev in trace.iter() {
-                behavior.push_event(name.clone(), ev.tag(), ev.value());
-            }
-        }
-        Ok(Run {
-            behavior,
-            steps: cp.prefix.steps + cont.steps,
-            events: cp.prefix.events + cont.events,
-        })
-    }
-}
-
-/// A split point of a simulation captured by [`Simulator::checkpoint`]: the
-/// reactor state plus the behavior recorded up to it. Feed it back to
-/// [`Simulator::resume`] — on the same simulator or a clone sharing the
-/// same program — to continue the run without replaying the prefix.
-#[derive(Debug, Clone)]
-pub struct SimCheckpoint {
-    state: ReactorState,
-    prefix: Run,
-}
-
-impl SimCheckpoint {
-    /// Number of reactions the prefix covers.
-    pub fn steps(&self) -> usize {
-        self.prefix.steps
-    }
-
-    /// The prefix run recorded up to the split point.
-    pub fn prefix(&self) -> &Run {
-        &self.prefix
-    }
 }
 
 #[cfg(test)]
@@ -273,50 +207,6 @@ mod tests {
             a
         ));
         assert!(denotation::satisfies_default(run.behavior.trace(&"y".into()).unwrap(), a, b));
-    }
-
-    #[test]
-    fn checkpoint_resume_matches_oneshot_run() {
-        let src = "process Acc { input tick: bool, a: int; output n: int; \
-                   n := (pre 0 n) + (a when tick); }";
-        let step = |s: Scenario, v: i64| s.on("tick", Value::TRUE).on("a", Value::Int(v)).tick();
-        let mut full = Scenario::new();
-        let mut head = Scenario::new();
-        let mut tail = Scenario::new();
-        for (i, v) in [3, 1, 4, 1, 5, 9, 2, 6].into_iter().enumerate() {
-            full = step(full, v);
-            if i < 3 {
-                head = step(head, v);
-            } else {
-                tail = step(tail, v);
-            }
-        }
-
-        let mut oneshot = sim(src);
-        let want = oneshot.run(&full).unwrap();
-
-        let mut split = sim(src);
-        let prefix = split.run(&head).unwrap();
-        let cp = split.checkpoint(&prefix);
-        let got = split.resume(&cp, &tail).unwrap();
-
-        assert_eq!(got.steps, want.steps);
-        assert_eq!(got.events, want.events);
-        assert_eq!(got.flow(&"n".into()), want.flow(&"n".into()));
-        assert_eq!(got.presence(&"n".into()), want.presence(&"n".into()));
-
-        // the checkpoint is reusable: resume again with a different tail
-        let redo = split.resume(&cp, &tail).unwrap();
-        assert_eq!(redo.flow(&"n".into()), want.flow(&"n".into()));
-    }
-
-    #[test]
-    #[should_panic(expected = "does not match")]
-    fn checkpoint_rejects_mismatched_prefix() {
-        let mut s = sim("process P { input a: int; output x: int; x := a; }");
-        let run = s.run(&Scenario::new().on("a", Value::Int(1)).tick()).unwrap();
-        let _ = s.run(&Scenario::new().tick()).unwrap(); // state moved on
-        let _ = s.checkpoint(&run);
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub mod schedule;
 pub mod status;
 
 pub use compile::LowerFailure;
-pub use engine::{Run, SimCheckpoint, Simulator};
+pub use engine::{Run, Simulator};
 pub use env::DenseEnv;
 pub use error::SimError;
 pub use generator::{BurstyInputs, PeriodicInputs, RandomInputs, ScenarioGenerator};

@@ -116,26 +116,6 @@ pub struct ReactorState {
     step: usize,
 }
 
-impl ReactorState {
-    /// Builds a state from raw parts — for callers that assemble a state
-    /// from pieces of other snapshots (e.g. the estimation loop's
-    /// warm-start transplant, which splices per-component register spans
-    /// across reactors with different layouts).
-    pub fn new(registers: impl Into<Box<[Value]>>, step: usize) -> ReactorState {
-        ReactorState { registers: registers.into(), step }
-    }
-
-    /// The captured `pre` register file.
-    pub fn registers(&self) -> &[Value] {
-        &self.registers
-    }
-
-    /// The captured step counter.
-    pub fn step(&self) -> usize {
-        self.step
-    }
-}
-
 /// An elaborated, executable program.
 #[derive(Debug, Clone)]
 pub struct Reactor {
@@ -150,10 +130,6 @@ pub struct Reactor {
     /// `eq_has_pre[i]` = equation `i` owns at least one `pre` register (the
     /// register-update walk skips the others).
     eq_has_pre: Vec<bool>,
-    /// Per source component, the contiguous register span `(name, start,
-    /// len)` its `pre`s occupy — registers are allocated in component ×
-    /// statement order, so a component's state is one slice of the file.
-    register_spans: Vec<(String, usize, usize)>,
     /// Clock-equality groups (from sync constraints and the clock calculus).
     groups: Vec<Vec<usize>>,
     /// Indices into `groups` with ≥ 2 members — the only ones whose sweep
@@ -266,20 +242,16 @@ impl Reactor {
 
         let idx = |n: &SigName| interner.lookup(n).expect("resolved name is declared").index();
 
-        // compile equations, allocating registers; record each component's
-        // contiguous register span for cross-layout state transplants
+        // compile equations, allocating registers
         let mut registers: Vec<Value> = Vec::new();
         let mut equations: Vec<(usize, CExpr)> = Vec::new();
-        let mut register_spans: Vec<(String, usize, usize)> = Vec::new();
         for c in &p.components {
-            let span_start = registers.len();
             for stmt in &c.stmts {
                 if let Statement::Eq(eq) = stmt {
                     let rhs = compile(&eq.rhs, &|n| idx(n), &mut registers);
                     equations.push((idx(&eq.lhs), rhs));
                 }
             }
-            register_spans.push((c.name.clone(), span_start, registers.len() - span_start));
         }
 
         // clock groups: union-find over indices, seeded by each component's
@@ -383,7 +355,6 @@ impl Reactor {
             is_input,
             equations,
             eq_has_pre,
-            register_spans,
             groups,
             prop_groups,
             subset_edges,
@@ -519,20 +490,6 @@ impl Reactor {
     /// Current values of the `pre` registers (the program state).
     pub fn registers(&self) -> &[Value] {
         &self.registers
-    }
-
-    /// Per source component, the contiguous `(name, start, len)` register
-    /// span its `pre`s occupy. Registers are allocated in component ×
-    /// statement order, so two reactors that share a component (by name and
-    /// definition) can splice each other's state span-by-span — the
-    /// estimation loop's warm start relies on this.
-    pub fn register_spans(&self) -> &[(String, usize, usize)] {
-        &self.register_spans
-    }
-
-    /// Initial values of the `pre` registers.
-    pub fn initial_registers(&self) -> &[Value] {
-        &self.initial_registers
     }
 
     /// Overwrites the program state (used by the model checker to explore

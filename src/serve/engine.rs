@@ -68,7 +68,8 @@ pub struct EngineConfig {
     /// Byte budget for the resolved-program cache.
     pub program_cache_bytes: usize,
     /// Default worker threads handed to the estimator/checker when a
-    /// request does not pin its own (`0` = detected parallelism).
+    /// request does not pin its own, and the most a request may pin
+    /// (`0` = detected parallelism).
     pub threads: usize,
     /// Per-request resource caps.
     pub budget: Budget,
@@ -207,7 +208,6 @@ impl Engine {
         h.field(&opt(p.initial_size));
         h.field(&opt(p.max_iterations));
         h.field(&opt(p.max_size));
-        h.field(&[p.incremental.map_or(2u8, u8::from)]);
         h.finish()
     }
 
@@ -231,9 +231,6 @@ impl Engine {
         if let Some(v) = req.params.max_size {
             o.max_size = v;
         }
-        if let Some(v) = req.params.incremental {
-            o.incremental = v;
-        }
         let b = &self.config.budget;
         o.max_iterations = o.max_iterations.min(b.max_rounds);
         o.max_size = o.max_size.min(b.max_fifo_depth);
@@ -250,13 +247,16 @@ impl Engine {
         }
     }
 
+    /// The request's `threads`, capped at the server's own default: the
+    /// count comes off the wire, and the checker spawns workers from it.
     fn effective_threads(&self, req: &Request) -> usize {
-        if req.threads > 0 {
-            req.threads
-        } else if self.config.threads > 0 {
-            self.config.threads
-        } else {
-            crossbeam::pool::default_threads()
+        let cap = match self.config.threads {
+            0 => crossbeam::pool::default_threads(),
+            n => n,
+        };
+        match req.threads {
+            0 => cap,
+            n => n.min(cap),
         }
     }
 
@@ -634,13 +634,12 @@ mod tests {
         let base = pipeline_request(1, PIPE);
         let mut sized = pipeline_request(2, PIPE);
         sized.params = EstimationParams { initial_size: Some(2), ..EstimationParams::default() };
-        let mut cold_ref = pipeline_request(3, PIPE);
-        cold_ref.params =
-            EstimationParams { incremental: Some(false), ..EstimationParams::default() };
+        let mut capped = pipeline_request(3, PIPE);
+        capped.params = EstimationParams { max_size: Some(2), ..EstimationParams::default() };
         assert_ne!(engine.request_key(&base), engine.request_key(&sized));
-        assert_ne!(engine.request_key(&base), engine.request_key(&cold_ref));
-        assert_ne!(engine.request_key(&sized), engine.request_key(&cold_ref));
-        for req in [&base, &sized, &cold_ref] {
+        assert_ne!(engine.request_key(&base), engine.request_key(&capped));
+        assert_ne!(engine.request_key(&sized), engine.request_key(&capped));
+        for req in [&base, &sized, &capped] {
             assert_eq!(engine.submit(req).served, Served::Cold);
         }
         let stats = engine.stats();
@@ -661,6 +660,23 @@ mod tests {
         let second = engine.submit(&b);
         assert_eq!(second.served, Served::Hit);
         assert_eq!(first.outcome, second.outcome);
+    }
+
+    #[test]
+    fn request_threads_are_capped_at_the_server_default() {
+        // only the options are read: nothing runs at this thread count
+        let mut req = pipeline_request(1, PIPE);
+        req.threads = 1 << 40;
+        let pinned = Engine::new(EngineConfig { threads: 3, ..EngineConfig::default() });
+        assert_eq!(pinned.check_options(&req).threads, 3);
+        assert_eq!(pinned.estimation_options(&req).threads, 3);
+        let detected = Engine::new(EngineConfig::default());
+        let default = crossbeam::pool::default_threads();
+        assert_eq!(detected.check_options(&req).threads, default);
+        assert_eq!(detected.estimation_options(&req).threads, default);
+        // a request below the cap keeps its own count
+        req.threads = 2;
+        assert_eq!(pinned.check_options(&req).threads, 2);
     }
 
     #[test]

@@ -57,14 +57,6 @@ impl Json {
         }
     }
 
-    /// The bool payload, when a bool.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Serializes compactly (no whitespace).
     pub fn render(&self) -> String {
         let mut out = String::new();

@@ -112,8 +112,6 @@ pub struct EstimationParams {
     pub max_iterations: Option<usize>,
     /// `EstimationOptions::max_size` override (clamped to budget).
     pub max_size: Option<usize>,
-    /// `EstimationOptions::incremental` override.
-    pub incremental: Option<bool>,
 }
 
 /// One request.
@@ -132,8 +130,8 @@ pub struct Request {
     /// Estimation knobs.
     pub params: EstimationParams,
     /// Worker threads for the layer-parallel checker / estimation
-    /// (`0` = server default). Not part of the cache key: the engines are
-    /// thread-invariant by contract.
+    /// (`0` = server default; larger counts are capped at it). Not part of
+    /// the cache key: the engines are thread-invariant by contract.
     pub threads: usize,
 }
 
@@ -173,9 +171,6 @@ impl Request {
         }
         if let Some(v) = self.params.max_size {
             params.push(("max_size".to_string(), Json::Num(v as i64)));
-        }
-        if let Some(v) = self.params.incremental {
-            params.push(("incremental".to_string(), Json::Bool(v)));
         }
         if !params.is_empty() {
             members.push(("params".into(), Json::Obj(params)));
@@ -218,9 +213,6 @@ impl Request {
             }
             if let Some(x) = p.get("max_size") {
                 params.max_size = Some(usize_of(x, "max_size")?);
-            }
-            if let Some(x) = p.get("incremental") {
-                params.incremental = Some(x.as_bool().ok_or("`incremental` must be a bool")?);
             }
         }
         let threads = match v.get("threads") {
@@ -556,13 +548,23 @@ mod tests {
         r.scenario = Some("tick=true a=3\ntick=true\n".into());
         r.property = Some("alarm".into());
         r.params.max_size = Some(64);
-        r.params.incremental = Some(false);
         r.threads = 2;
         assert_eq!(Request::from_json(&r.to_json()).unwrap(), r);
         // defaults elide fields
         let bare = Request::new(1, RequestKind::Parse, "x");
         assert!(!bare.to_json().contains("params"));
         assert_eq!(Request::from_json(&bare.to_json()).unwrap(), bare);
+    }
+
+    #[test]
+    fn unknown_params_are_ignored() {
+        // older clients still send the retired `incremental` knob: the
+        // request decodes as if it were absent, so it keys and runs alike
+        let old = r#"{"id":1,"kind":"estimate","source":"process P { }",
+                      "params":{"max_size":8,"incremental":false}}"#;
+        let mut want = Request::new(1, RequestKind::Estimate, "process P { }");
+        want.params.max_size = Some(8);
+        assert_eq!(Request::from_json(old).unwrap(), want);
     }
 
     #[test]

@@ -268,19 +268,19 @@ mod thread_invariance {
     }
 }
 
-// --- the incremental estimation engine matches the cold reference --------
+// --- the cached estimation engine matches the reference loop --------------
 
 mod estimation_differential {
     use super::*;
     use polysig::gals::estimate::{
-        estimate_buffer_sizes, estimate_buffer_sizes_ensemble, EstimationOptions, GrowthPolicy,
+        estimate_buffer_sizes, estimate_buffer_sizes_ensemble, estimate_buffer_sizes_reference,
+        EstimationOptions, GrowthPolicy,
     };
     use polysig::gals::{channels_of_program, GalsError};
     use proptest::prelude::*;
 
     /// Three producer/consumer stages — two channels, so rounds grow a
-    /// *vector* of depths and the warm-start planner sees mixed
-    /// grown/untouched channels.
+    /// *vector* of depths, some channels grown and some untouched.
     fn chain3() -> Program {
         parse_program(
             "process P { input a: int; output x: int; x := a + 1; } \
@@ -293,8 +293,7 @@ mod estimation_differential {
     /// A pseudo-random estimation environment for `program`: drives the
     /// program's own external inputs, every channel's read-enable and the
     /// monitor clock. The writer inputs stay silent before `wphase`, so
-    /// first writes land at a nonzero instant and the warm-start path
-    /// (resume from the recorded checkpoint) actually engages.
+    /// first writes land at a nonzero instant.
     fn estimation_env(program: &Program, seed: u64, len: usize, wphase: usize) -> Scenario {
         let mut state = seed.wrapping_add(0x9e3779b97f4a7c15);
         let channels = channels_of_program(program).expect("program partitions");
@@ -334,16 +333,8 @@ mod estimation_differential {
         scenario: &Scenario,
         options: &EstimationOptions,
     ) {
-        let warm = estimate_buffer_sizes(
-            program,
-            scenario,
-            &EstimationOptions { incremental: true, ..options.clone() },
-        );
-        let cold = estimate_buffer_sizes(
-            program,
-            scenario,
-            &EstimationOptions { incremental: false, ..options.clone() },
-        );
+        let warm = estimate_buffer_sizes(program, scenario, options);
+        let cold = estimate_buffer_sizes_reference(program, scenario, options);
         match (warm, cold) {
             (Ok(w), Ok(c)) => {
                 assert_eq!(w.converged, c.converged, "{label}: convergence diverges");
@@ -362,7 +353,7 @@ mod estimation_differential {
                 assert_eq!(w.to_string(), c.to_string(), "{label}: errors diverge");
             }
             (w, c) => panic!(
-                "{label}: one engine failed: incremental {}, cold {}",
+                "{label}: one engine failed: cached {}, reference {}",
                 describe(&w),
                 describe(&c)
             ),
@@ -381,7 +372,7 @@ mod estimation_differential {
 
         /// Random phased environments over the single-channel pipe and the
         /// two-channel chain, both growth policies, non-default initial
-        /// sizes: the incremental engine must reproduce the cold reports
+        /// sizes: the cached engine must reproduce the reference reports
         /// bit for bit.
         #[test]
         fn incremental_estimation_matches_cold_reference(
@@ -417,12 +408,8 @@ mod estimation_differential {
             let reference: Vec<_> = scenarios
                 .iter()
                 .map(|s| {
-                    estimate_buffer_sizes(
-                        &program,
-                        s,
-                        &EstimationOptions { incremental: false, ..Default::default() },
-                    )
-                    .unwrap()
+                    estimate_buffer_sizes_reference(&program, s, &EstimationOptions::default())
+                        .unwrap()
                 })
                 .collect();
             for threads in [1usize, 2, 4, 8] {

@@ -1,6 +1,6 @@
 //! Deterministic tests for error paths the mainline suites leave cold:
-//! scenario precompilation rejects, the state-cap boundary of the
-//! reachability checker, and degenerate checkpoint/resume splits.
+//! scenario precompilation rejects and the state-cap boundary of the
+//! reachability checker.
 
 use std::collections::BTreeMap;
 
@@ -73,62 +73,6 @@ fn state_cap_errors_exactly_at_the_boundary() {
             other => panic!("expected StateCapExceeded, got {other}"),
         }
     }
-}
-
-#[test]
-fn checkpoint_of_fresh_simulator_resumes_like_a_cold_run() {
-    let p = acc_program();
-    let scenario = {
-        let mut s = Scenario::new();
-        for _ in 0..6 {
-            s = s.on("tick", Value::TRUE).tick();
-        }
-        s
-    };
-    let mut oneshot = Simulator::for_program(&p).unwrap();
-    let want = oneshot.run(&scenario).unwrap();
-
-    // checkpoint before any reaction: the prefix is the empty run
-    let mut split = Simulator::for_program(&p).unwrap();
-    let empty = split.run(&Scenario::new()).unwrap();
-    assert_eq!((empty.steps, empty.events), (0, 0));
-    let cp = split.checkpoint(&empty);
-    assert_eq!(cp.steps(), 0);
-    let got = split.resume(&cp, &scenario).unwrap();
-    assert_eq!(got.steps, want.steps);
-    assert_eq!(got.events, want.events);
-    assert_eq!(got.flow(&"n".into()), want.flow(&"n".into()));
-    assert_eq!(got.presence(&"n".into()), want.presence(&"n".into()));
-}
-
-#[test]
-fn zero_instant_resume_returns_the_prefix_unchanged() {
-    let p = acc_program();
-    let head = {
-        let mut s = Scenario::new();
-        for _ in 0..4 {
-            s = s.on("tick", Value::TRUE).tick();
-        }
-        s
-    };
-    let mut sim = Simulator::for_program(&p).unwrap();
-    let prefix = sim.run(&head).unwrap();
-    let cp = sim.checkpoint(&prefix);
-    let got = sim.resume(&cp, &Scenario::new()).unwrap();
-    assert_eq!(got.steps, prefix.steps);
-    assert_eq!(got.events, prefix.events);
-    assert_eq!(got.flow(&"n".into()), prefix.flow(&"n".into()));
-    assert_eq!(got.presence(&"n".into()), prefix.presence(&"n".into()));
-
-    // and the zero-instant resume leaves the state resumable: a further
-    // continuation still matches the one-shot run
-    let tail = Scenario::new().on("tick", Value::TRUE).tick();
-    let cont = sim.resume(&cp, &tail).unwrap();
-    let mut oneshot = Simulator::for_program(&p).unwrap();
-    let mut full = head;
-    full = full.on("tick", Value::TRUE).tick();
-    let want = oneshot.run(&full).unwrap();
-    assert_eq!(cont.flow(&"n".into()), want.flow(&"n".into()));
 }
 
 #[test]

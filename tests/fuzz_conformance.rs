@@ -88,15 +88,18 @@ fn generated_cases_satisfy_all_oracles() {
 /// A skipped `BmcEquiv` leg compares nothing, so a change that made the
 /// symbolic backend refuse these programs would pass the sweep above
 /// silently. Every generated pipeline lowers to a static schedule, cases
-/// 8 and 10 only since lowering retries equations, so both legs must
-/// compare every case.
+/// 8 and 10 only since lowering retries equations, and so does every
+/// ring's depth-1 desynchronized network, which the oracle checks in
+/// place of the ring; both legs must compare every case.
 #[test]
-fn both_bmc_legs_compare_every_pipeline_case() {
-    for i in 0..12 {
-        let seed = splitmix64(1 ^ splitmix64(i | 1u64 << 32));
-        let case =
-            generate_case(&mut StdRng::seed_from_u64(seed), &GenConfig::default(), Shape::Pipeline);
-        let legs = bmc_equiv_legs(&case).unwrap_or_else(|f| panic!("case {i}: {f}"));
-        assert_eq!(legs, [BmcLeg::Compared; 2], "case {i}");
+fn both_bmc_legs_compare_every_pipeline_and_ring_case() {
+    for (shape, shape_bit) in [(Shape::Pipeline, 1u64 << 32), (Shape::Ring, 2u64 << 32)] {
+        for i in 0..12 {
+            let seed = splitmix64(1 ^ splitmix64(i | shape_bit));
+            let case =
+                generate_case(&mut StdRng::seed_from_u64(seed), &GenConfig::default(), shape);
+            let legs = bmc_equiv_legs(&case).unwrap_or_else(|f| panic!("{shape} case {i}: {f}"));
+            assert_eq!(legs, [BmcLeg::Compared; 2], "{shape} case {i}");
+        }
     }
 }
