@@ -15,14 +15,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo check perfbench (a workspace of its own, so the steps above never build it)"
 cargo check --locked --offline --manifest-path perfbench/Cargo.toml
 
-echo "==> cargo test -q --workspace (POLYSIG_TEST_THREADS=1: sequential exploration path)"
-POLYSIG_TEST_THREADS=1 cargo test -q --workspace
-
-echo "==> cargo test -q --workspace (detected parallelism)"
+echo "==> cargo test -q --workspace"
 cargo test -q --workspace
-
-echo "==> cargo test -q --workspace (POLYSIG_COMPILE=off: interpreter-only execution plans)"
-POLYSIG_COMPILE=off cargo test -q --workspace
 
 echo "==> polysig-lint --deny warnings over the shipped programs"
 cargo build -q --release --bin polysig-lint
@@ -34,16 +28,8 @@ for example in quickstart producer_consumer multirate_sampler gals_pipeline spli
   cargo run -q --release --example "$example" > /dev/null
 done
 
-echo "==> fuzz smoke: corpus replay + 200 generated cases per shape, fixed seed (sequential)"
-POLYSIG_TEST_THREADS=1 POLYSIG_FUZZ_SEED=1 POLYSIG_FUZZ_CASES=200 \
-  cargo test -q --release --test fuzz_conformance
-
-echo "==> fuzz smoke: corpus replay + 200 generated cases per shape, fixed seed (parallel)"
+echo "==> fuzz smoke: corpus replay + 200 generated cases per shape, fixed seed"
 POLYSIG_FUZZ_SEED=1 POLYSIG_FUZZ_CASES=200 \
-  cargo test -q --release --test fuzz_conformance
-
-echo "==> fuzz smoke: same sweep with compilation disabled (POLYSIG_COMPILE=off)"
-POLYSIG_COMPILE=off POLYSIG_FUZZ_SEED=1 POLYSIG_FUZZ_CASES=200 \
   cargo test -q --release --test fuzz_conformance
 
 echo "==> federated soak: 4 federates x 250k instants, streaming counters, no trace recording"
@@ -84,16 +70,12 @@ grep -q 'source_errors 0 ' <<< "$smoke_out" \
   || { echo "serve smoke: source errors"; exit 1; }
 rm -rf "$smoke_dir"
 
-echo "==> federated smoke: 3-stage pipeline, 2000 activations, capacity 4 (threads 1 and default)"
+echo "==> federated smoke: 3-stage pipeline, 2000 activations, capacity 4"
 cargo build -q --release --bin polysig_cli
-fed_out="$(POLYSIG_TEST_THREADS=1 ./target/release/polysig_cli federated 3 2000 4)"
-echo "$fed_out" | tail -n 2
-grep -q 'OK: every value delivered, every thread joined' <<< "$fed_out" \
-  || { echo "federated smoke (threads 1): self-check failed"; exit 1; }
 fed_out="$(./target/release/polysig_cli federated 3 2000 4)"
 echo "$fed_out" | tail -n 2
 grep -q 'OK: every value delivered, every thread joined' <<< "$fed_out" \
-  || { echo "federated smoke (default threads): self-check failed"; exit 1; }
+  || { echo "federated smoke: self-check failed"; exit 1; }
 
 echo "==> federated --check preflight: pass path (pipeline launches) and refuse path (PA008 ring)"
 fed_out="$(./target/release/polysig_cli federated 3 2000 4 --check)"

@@ -3,15 +3,17 @@
 //! `compile/lower_fig2` measures the one-time lowering cost of the Figure-2
 //! buffer; `compile/exec_fig2*` drives the raw per-reaction dispatch
 //! (`react_dense`) of the fig2 components under both execution plans; and
-//! `compile/full_loop_*` re-runs the Section-5.2 estimation loop with
-//! compilation forced on and off, giving compiled-vs-interpreted comparison
-//! rows next to the `fig2/*` and `estimation/full_loop/*` sections.
+//! `compile/round_*` time one Section-5.2 estimation round — elaborate the
+//! converged instrumented pipe network, then drive its 80-instant
+//! scenario — under each plan, once per burst length of the
+//! `estimation/full_loop/*` workload.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use polysig_bench::banner;
 use polysig_gals::estimate::{estimate_buffer_sizes, EstimationOptions};
 use polysig_gals::onefifo::{memory_cell_component, one_place_buffer_component};
+use polysig_gals::{desynchronize, DesyncOptions};
 use polysig_lang::ast::Program;
 use polysig_sim::generator::master_clock;
 use polysig_sim::{BurstyInputs, DenseEnv, PeriodicInputs, Reactor, Scenario, ScenarioGenerator};
@@ -49,6 +51,18 @@ fn drive(r: &mut Reactor, envs: &[DenseEnv]) -> usize {
     present
 }
 
+/// One estimation round on `program`: elaborate it under `build` and
+/// drive `scenario` from instant 0, counting present outputs.
+fn round(
+    build: fn(&Program) -> Result<Reactor, polysig_sim::SimError>,
+    program: &Program,
+    scenario: &Scenario,
+) -> usize {
+    let mut r = build(program).unwrap();
+    let envs = r.dense_scenario(scenario).unwrap();
+    drive(&mut r, &envs)
+}
+
 /// The `estimation/full_loop/*` workload (see `buffer_estimation.rs`).
 fn bursty_env(steps: usize, burst: usize) -> Scenario {
     BurstyInputs::new("a", ValueType::Int, burst, 16)
@@ -63,8 +77,8 @@ fn bench(c: &mut Criterion) {
 
     // the rows below are meaningless if the plans are not what their
     // names claim, so pin that down before measuring
-    let compiled_buffer = Reactor::for_program_compiled(&buffer).unwrap();
-    let compiled_cell = Reactor::for_program_compiled(&cell).unwrap();
+    let compiled_buffer = Reactor::for_program(&buffer).unwrap();
+    let compiled_cell = Reactor::for_program(&cell).unwrap();
     assert!(compiled_buffer.is_compiled(), "fig2 buffer must lower to a static schedule");
     assert!(compiled_cell.is_compiled(), "fig2 memory cell must lower to a static schedule");
     assert!(!Reactor::for_program_interpreted(&buffer).unwrap().is_compiled());
@@ -80,14 +94,14 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("compile");
     group.bench_function("lower_fig2", |b| {
         b.iter(|| {
-            let r = Reactor::for_program_compiled(&buffer).unwrap();
+            let r = Reactor::for_program(&buffer).unwrap();
             assert!(r.is_compiled());
             std::hint::black_box(r.compiled_op_count())
         })
     });
 
     {
-        let mut compiled = Reactor::for_program_compiled(&buffer).unwrap();
+        let mut compiled = Reactor::for_program(&buffer).unwrap();
         let envs = dense_workload(&compiled, STEPS);
         group.bench_function("exec_fig2", |b| {
             b.iter(|| std::hint::black_box(drive(&mut compiled, &envs)))
@@ -99,7 +113,7 @@ fn bench(c: &mut Criterion) {
         });
     }
     {
-        let mut compiled = Reactor::for_program_compiled(&cell).unwrap();
+        let mut compiled = Reactor::for_program(&cell).unwrap();
         let envs = dense_workload(&compiled, STEPS);
         group.bench_function("exec_fig2_memory_cell", |b| {
             b.iter(|| std::hint::black_box(drive(&mut compiled, &envs)))
@@ -111,55 +125,28 @@ fn bench(c: &mut Criterion) {
         });
     }
 
-    // estimation-loop comparison: the loop builds its reactors through
-    // `Reactor::for_program`, which honours POLYSIG_COMPILE at build time,
-    // so toggling the variable around the runs selects the plan. The
-    // harness is single-threaded; restore the ambient value afterwards.
-    let ambient = std::env::var("POLYSIG_COMPILE").ok();
+    // the converged round of each `estimation/full_loop/*` run: the
+    // instrumented pipe network at the depths the loop settles on
     for burst in [2usize, 4, 8] {
         let env = bursty_env(80, burst);
-        let baseline = {
-            std::env::remove_var("POLYSIG_COMPILE");
-            estimate_buffer_sizes(&polysig_bench::pipe(), &env, &EstimationOptions::default())
-                .unwrap()
-        };
-        std::env::remove_var("POLYSIG_COMPILE");
-        group.bench_function(format!("full_loop_{burst}"), |b| {
-            b.iter(|| {
-                std::hint::black_box(
-                    estimate_buffer_sizes(
-                        &polysig_bench::pipe(),
-                        &env,
-                        &EstimationOptions::default(),
-                    )
-                    .unwrap()
-                    .iterations(),
-                )
-            })
-        });
-        std::env::set_var("POLYSIG_COMPILE", "off");
-        let interp =
+        let report =
             estimate_buffer_sizes(&polysig_bench::pipe(), &env, &EstimationOptions::default())
                 .unwrap();
-        assert_eq!(interp.final_sizes, baseline.final_sizes);
-        assert_eq!(interp.iterations(), baseline.iterations());
-        group.bench_function(format!("full_loop_{burst}_interpreted"), |b| {
-            b.iter(|| {
-                std::hint::black_box(
-                    estimate_buffer_sizes(
-                        &polysig_bench::pipe(),
-                        &env,
-                        &EstimationOptions::default(),
-                    )
-                    .unwrap()
-                    .iterations(),
-                )
-            })
+        assert!(report.converged);
+        let options = DesyncOptions { sizes: report.final_sizes, ..DesyncOptions::default() };
+        let network =
+            desynchronize(&polysig_bench::pipe(), &options.instrumented()).unwrap().program;
+        assert!(Reactor::for_program(&network).unwrap().is_compiled());
+        assert_eq!(
+            round(Reactor::for_program, &network, &env),
+            round(Reactor::for_program_interpreted, &network, &env)
+        );
+        group.bench_function(format!("round_{burst}"), |b| {
+            b.iter(|| std::hint::black_box(round(Reactor::for_program, &network, &env)))
         });
-        match &ambient {
-            Some(v) => std::env::set_var("POLYSIG_COMPILE", v),
-            None => std::env::remove_var("POLYSIG_COMPILE"),
-        }
+        group.bench_function(format!("round_{burst}_interpreted"), |b| {
+            b.iter(|| std::hint::black_box(round(Reactor::for_program_interpreted, &network, &env)))
+        });
     }
     group.finish();
 }

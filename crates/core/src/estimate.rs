@@ -67,8 +67,8 @@ pub struct EstimationOptions {
     /// Worker threads for [`estimate_buffer_sizes_ensemble`] (a single
     /// loop is inherently sequential round-to-round, so
     /// [`estimate_buffer_sizes`] ignores this). Per-scenario results are
-    /// identical for every value. Defaults to the detected parallelism
-    /// (`POLYSIG_TEST_THREADS` overrides it).
+    /// identical for every value. Defaults to the process's available
+    /// parallelism (1 under `taskset -c 0`).
     pub threads: usize,
     /// Statically proven sufficient depths (the `polysig-analyze` rate-bound
     /// prover's output, via `StaticBounds::warm_start`). A proven channel

@@ -627,14 +627,8 @@ mod tests {
         assert!(x.max_occupancy <= 4, "capacity respected, got {}", x.max_occupancy);
         assert_eq!(run.teardown.spawned, 2);
         assert_eq!(run.teardown.joined, 2);
-        // both federates compiled their plans (simple arithmetic cones) —
-        // unless the POLYSIG_COMPILE override forces interpretation, in
-        // which case both must report the interpreter
-        let compile_on = !matches!(
-            std::env::var("POLYSIG_COMPILE").ok().as_deref(),
-            Some("off" | "0" | "false")
-        );
-        assert!(run.federates.values().all(|s| s.compiled == compile_on));
+        // both federates compiled their plans (simple arithmetic cones)
+        assert!(run.federates.values().all(|s| s.compiled));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! corpus entry.
 //!
 //! ```text
-//! fuzz_triage --seed 42 [--shape free|pipeline] [--out corpus/entry.case]
+//! fuzz_triage --seed 42 [--shape free|pipeline|ring] [--out corpus/entry.case]
 //! fuzz_triage --replay corpus/entry.case
 //! ```
 //!

@@ -337,7 +337,7 @@ fn react_outcome(r: &mut Reactor, env: &DenseEnv) -> Outcome {
 
 fn compiled_equiv(case: &GenCase) -> Result<(), Failure> {
     let k = OracleKind::CompiledEquiv;
-    let mut compiled = Reactor::for_program_compiled(&case.program)
+    let mut compiled = Reactor::for_program(&case.program)
         .map_err(|e| Failure::new(k, format!("elaborate: {e}")))?;
     let mut interp = Reactor::for_program_interpreted(&case.program)
         .map_err(|e| Failure::new(k, format!("elaborate: {e}")))?;

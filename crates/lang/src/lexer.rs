@@ -7,8 +7,10 @@ use crate::error::{LangError, Pos};
 pub enum Token {
     /// An identifier.
     Ident(String),
-    /// An integer literal.
-    Int(i64),
+    /// An integer literal's magnitude, at most 2^63: the parser folds a
+    /// preceding minus into it, and only a negative literal may reach
+    /// `i64::MIN`.
+    Int(u64),
     /// `process`
     KwProcess,
     /// `input`
@@ -167,10 +169,13 @@ pub fn tokenize(src: &str) -> Result<Vec<Spanned>, LangError> {
                 }
                 let word: String = bytes[start..i].iter().collect();
                 col += (i - start) as u32;
-                let value = word.parse::<i64>().map_err(|_| LangError::Lex {
-                    pos,
-                    message: format!("integer literal `{word}` out of range"),
-                })?;
+                let value =
+                    word.parse::<u64>().ok().filter(|&m| m <= 1 << 63).ok_or_else(|| {
+                        LangError::Lex {
+                            pos,
+                            message: format!("integer literal `{word}` out of range"),
+                        }
+                    })?;
                 out.push(Spanned { token: Token::Int(value), pos });
             }
             ':' => {

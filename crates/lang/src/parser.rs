@@ -23,6 +23,10 @@
 //! literal    := INT | "-" INT | "true" | "false"
 //! ```
 //!
+//! A `-` directly before an `INT` is the literal's sign, so `-3` is the
+//! constant −3 (and `-9223372036854775808` is `i64::MIN`), while `-(3)`
+//! negates the constant 3.
+//!
 //! Expressions are bounded in depth by [`MAX_EXPR_DEPTH`].
 
 use polysig_tagged::{Value, ValueType};
@@ -161,6 +165,15 @@ impl<'a> Parser<'a> {
 
     fn err(&self, message: impl Into<String>) -> LangError {
         LangError::Parse { pos: self.pos(), message: message.into() }
+    }
+
+    /// Consumes the integer literal of magnitude `m` at the cursor, negated
+    /// when a sign precedes it; only a negative literal may reach 2^63.
+    fn int_literal(&mut self, m: u64, negated: bool) -> Result<i64, LangError> {
+        let v = if negated { 0i64.checked_sub_unsigned(m) } else { i64::try_from(m).ok() };
+        let v = v.ok_or_else(|| self.err(format!("integer literal `{m}` out of range")))?;
+        self.i += 1;
+        Ok(v)
     }
 
     fn expect(&mut self, t: Token, what: &str) -> Result<(), LangError> {
@@ -350,14 +363,14 @@ impl<'a> Parser<'a> {
             }
             Some(Token::Minus) => {
                 self.i += 1;
-                let (arg, d) = self.nested(Self::unary)?;
-                // fold negation of integer literals so `-1` has one
-                // canonical AST regardless of how it was built
-                if let Expr::Const(Value::Int(k)) = arg {
-                    Ok((Expr::Const(Value::Int(-k)), d))
-                } else {
-                    Ok((Expr::Unary { op: Unop::Neg, arg: Box::new(arg) }, d))
+                // a sign directly before a literal folds into it (and
+                // counts as one prefix level); `-(3)` stays a negation,
+                // which is how the printer writes a negated literal
+                if let Some(&Token::Int(m)) = self.peek() {
+                    return Ok((Expr::int(self.int_literal(m, true)?), 1));
                 }
+                let (arg, d) = self.nested(Self::unary)?;
+                Ok((Expr::Unary { op: Unop::Neg, arg: Box::new(arg) }, d))
             }
             Some(Token::Caret) => {
                 self.i += 1;
@@ -375,14 +388,20 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self) -> Result<Value, LangError> {
-        match self.bump() {
-            Some(Token::Int(v)) => Ok(Value::Int(v)),
-            Some(Token::KwTrue) => Ok(Value::Bool(true)),
-            Some(Token::KwFalse) => Ok(Value::Bool(false)),
-            Some(Token::Minus) => match self.bump() {
-                Some(Token::Int(v)) => Ok(Value::Int(-v)),
-                other => Err(self.err(format!("expected integer after `-`, found {other:?}"))),
-            },
+        let negated = self.eat(&Token::Minus);
+        match self.peek() {
+            Some(&Token::Int(m)) => self.int_literal(m, negated).map(Value::Int),
+            other if negated => {
+                Err(self.err(format!("expected integer after `-`, found {other:?}")))
+            }
+            Some(Token::KwTrue) => {
+                self.i += 1;
+                Ok(Value::Bool(true))
+            }
+            Some(Token::KwFalse) => {
+                self.i += 1;
+                Ok(Value::Bool(false))
+            }
             other => Err(self.err(format!("expected literal, found {other:?}"))),
         }
     }
@@ -394,11 +413,7 @@ impl<'a> Parser<'a> {
                 self.i += 1;
                 Ok((e, 0))
             }
-            Some(Token::Int(v)) => {
-                let e = Expr::int(*v);
-                self.i += 1;
-                Ok((e, 0))
-            }
+            Some(&Token::Int(m)) => Ok((Expr::int(self.int_literal(m, false)?), 0)),
             Some(Token::KwTrue) => {
                 self.i += 1;
                 Ok((Expr::bool(true), 0))
@@ -478,6 +493,31 @@ mod tests {
         assert!(matches!(e, Expr::Pre { init: Value::Bool(false), .. }));
         let e = parse_expr("pre -1 x").unwrap();
         assert!(matches!(e, Expr::Pre { init: Value::Int(-1), .. }));
+    }
+
+    #[test]
+    fn a_sign_folds_only_into_the_literal_it_touches() {
+        let neg = |e| Expr::Unary { op: Unop::Neg, arg: Box::new(e) };
+        assert_eq!(parse_expr("- 7").unwrap(), Expr::int(-7));
+        assert_eq!(parse_expr("-(7)").unwrap(), neg(Expr::int(7)));
+        assert_eq!(parse_expr("- -7").unwrap(), neg(Expr::int(-7)));
+        // 2^63 is the magnitude of `i64::MIN`, and only a sign makes it one
+        assert_eq!(parse_expr("-9223372036854775808").unwrap(), Expr::int(i64::MIN));
+        let e = parse_expr("pre -9223372036854775808 x").unwrap();
+        assert!(matches!(e, Expr::Pre { init: Value::Int(i64::MIN), .. }));
+        for src in [
+            "9223372036854775808",
+            "a - 9223372036854775808",
+            "pre 9223372036854775808 x",
+            "-(9223372036854775808)",
+            "-9223372036854775809",
+        ] {
+            let err = parse_expr(src).unwrap_err().to_string();
+            assert!(
+                err.contains("integer literal") && err.contains("out of range"),
+                "{src}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -8,6 +8,8 @@
 
 use std::fmt::Write as _;
 
+use polysig_tagged::Value;
+
 use crate::ast::{Binop, Component, Expr, Program, Role, Statement, Unop};
 
 /// The binding strength of comparisons.
@@ -15,6 +17,10 @@ const COMPARISON: u8 = 4;
 /// The binding strength of prefix operators, whose operand is a prefix
 /// operator or a leaf.
 const PREFIX: u8 = 7;
+/// Tighter than any expression, so the operand always gets parentheses:
+/// a negated integer literal prints as `- (3)`, because `- 3` would
+/// reparse as the literal `-3`.
+const PARENTHESIZED: u8 = 9;
 
 /// Binding strength, loosest first: `default`, `when`, `or`, `and`,
 /// comparisons, `+`/`-`, `*`, prefix operators, then leaves.
@@ -63,7 +69,8 @@ fn write_expr(out: &mut String, e: &Expr, min: u8) {
                 Unop::Neg => "- ",
                 Unop::ClockOf => "^ ",
             });
-            write_expr(out, arg, PREFIX);
+            let negated_literal = *op == Unop::Neg && matches!(**arg, Expr::Const(Value::Int(_)));
+            write_expr(out, arg, if negated_literal { PARENTHESIZED } else { PREFIX });
         }
         Expr::When { body: left, cond: right } | Expr::Default { left, right } => {
             // left-associative: the right operand binds one level tighter
@@ -226,5 +233,26 @@ mod tests {
         let e = parse_expr("pre -3 x").unwrap();
         let reparsed = parse_expr(&pretty_expr(&e)).unwrap();
         assert_eq!(e, reparsed);
+    }
+
+    #[test]
+    fn ast_built_literals_round_trip() {
+        // neither node has a source spelling the printer could get wrong:
+        // `i64::MIN` prints as a negative literal, and a negated literal
+        // keeps its parentheses so the sign does not fold into it
+        let neg = |k| Expr::Unary { op: Unop::Neg, arg: Box::new(Expr::int(k)) };
+        let min = Expr::int(i64::MIN);
+        for e in [
+            min.clone(),
+            Expr::var("x").pre(Value::Int(i64::MIN)),
+            Expr::var("a").binop(Binop::Sub, min),
+            neg(3),
+            neg(-3),
+            neg(i64::MIN),
+        ] {
+            let printed = pretty_expr(&e);
+            assert_eq!(parse_expr(&printed).unwrap(), e, "`{printed}`");
+        }
+        assert_eq!(pretty_expr(&neg(3)), "- (3)");
     }
 }

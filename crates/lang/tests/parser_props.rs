@@ -54,6 +54,7 @@ fn arb_expr() -> impl Strategy<Value = Expr> {
     let leaf = prop_oneof![
         prop_oneof![Just("a"), Just("b"), Just("c")].prop_map(Expr::var),
         (-5i64..6).prop_map(Expr::int),
+        prop_oneof![Just(i64::MIN), Just(i64::MAX)].prop_map(Expr::int),
         proptest::bool::ANY.prop_map(Expr::bool),
     ];
     leaf.prop_recursive(4, 32, 3, |inner| {
@@ -62,6 +63,7 @@ fn arb_expr() -> impl Strategy<Value = Expr> {
             (inner.clone(), inner.clone()).prop_map(|(e, c)| e.when(c)),
             (inner.clone(), inner.clone()).prop_map(|(l, r)| l.default(r)),
             inner.clone().prop_map(Expr::not),
+            inner.clone().prop_map(|e| Expr::Unary { op: Unop::Neg, arg: Box::new(e) }),
             inner.clone().prop_map(Expr::clock),
             (
                 inner.clone(),
@@ -243,14 +245,15 @@ fn deep_negation_round_trips() {
     let printed = pretty_expr(&e);
     assert_eq!(parse_expr(&printed).unwrap(), e);
 
-    // negation over integer literals folds to the canonical constant form
+    // negation over an integer literal keeps its structure: the printer
+    // writes `- (k)`, and only a sign touching the literal folds into it
     let neg = Expr::Unary {
         op: Unop::Neg,
         arg: Box::new(Expr::Unary { op: Unop::Neg, arg: Box::new(Expr::int(-7)) }),
     };
     let printed = pretty_expr(&neg);
-    assert_eq!(parse_expr(&printed).unwrap(), Expr::int(-7));
-    // …while negation over variables keeps its structure
+    assert_eq!(parse_expr(&printed).unwrap(), neg);
+    // …as does negation over variables
     let negvar = Expr::Unary { op: Unop::Neg, arg: Box::new(Expr::var("a")) };
     assert_eq!(parse_expr(&pretty_expr(&negvar)).unwrap(), negvar);
 }

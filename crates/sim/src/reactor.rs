@@ -83,31 +83,6 @@ enum ExecPlan {
     Interpreted(Option<LowerFailure>),
 }
 
-/// Build-time choice of execution plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CompileMode {
-    /// Compile when a static schedule exists, unless `POLYSIG_COMPILE`
-    /// turns compilation off.
-    Auto,
-    /// Never compile (forced interpretation).
-    Never,
-    /// Compile when a static schedule exists, ignoring the environment
-    /// override.
-    Always,
-}
-
-/// `true` unless the `POLYSIG_COMPILE` environment variable disables
-/// compilation (read per [`Reactor`] build, so tests and CI can toggle it).
-fn compile_enabled() -> bool {
-    compile_enabled_from(std::env::var("POLYSIG_COMPILE").ok().as_deref())
-}
-
-/// Pure core of the `POLYSIG_COMPILE` switch: `off`, `0` and `false`
-/// disable compilation; anything else — including unset — enables it.
-fn compile_enabled_from(value: Option<&str>) -> bool {
-    !matches!(value, Some("off" | "0" | "false"))
-}
-
 /// A captured execution state of a [`Reactor`]: the `pre` register file
 /// plus the step counter. See [`Reactor::snapshot`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -166,37 +141,27 @@ impl Reactor {
     }
 
     /// Elaborates a program (all components merged into one synchronous
-    /// reaction system; shared names connect them).
+    /// reaction system; shared names connect them). Reactions run on the
+    /// lowered static schedule whenever one exists, on the interpreter
+    /// otherwise (see [`Reactor::is_compiled`] and
+    /// [`Reactor::lower_failure`]).
     ///
     /// # Errors
     ///
     /// Returns resolution or type errors from the language passes.
     pub fn for_program(p: &Program) -> Result<Reactor, SimError> {
-        Reactor::build(p, true, CompileMode::Auto)
+        Reactor::build(p, true, true)
     }
 
     /// Like [`Reactor::for_program`] but always interprets, even when a
     /// static schedule exists — the reference side of the
-    /// compiled/interpreted differential oracles, and the behavior every
-    /// reactor gets under `POLYSIG_COMPILE=off`.
+    /// compiled/interpreted differential oracles.
     ///
     /// # Errors
     ///
     /// Returns resolution or type errors from the language passes.
     pub fn for_program_interpreted(p: &Program) -> Result<Reactor, SimError> {
-        Reactor::build(p, true, CompileMode::Never)
-    }
-
-    /// Like [`Reactor::for_program`] but attempts to lower a static
-    /// schedule regardless of the `POLYSIG_COMPILE` override; when no
-    /// schedule exists the reactor silently falls back to the interpreter
-    /// (check [`Reactor::is_compiled`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns resolution or type errors from the language passes.
-    pub fn for_program_compiled(p: &Program) -> Result<Reactor, SimError> {
-        Reactor::build(p, true, CompileMode::Always)
+        Reactor::build(p, true, false)
     }
 
     /// Like [`Reactor::for_program`] but *without* the static equation
@@ -205,10 +170,10 @@ impl Reactor {
     /// `sim_scheduling` ablation; behavior is identical. Never compiled
     /// (the lowering requires the schedule).
     pub fn for_program_unscheduled(p: &Program) -> Result<Reactor, SimError> {
-        Reactor::build(p, false, CompileMode::Never)
+        Reactor::build(p, false, false)
     }
 
-    fn build(p: &Program, schedule: bool, mode: CompileMode) -> Result<Reactor, SimError> {
+    fn build(p: &Program, schedule: bool, try_lower: bool) -> Result<Reactor, SimError> {
         let disambiguated = disambiguate_locals(p);
         let p: &Program = &disambiguated;
         polysig_lang::resolve::resolve_program(p)?;
@@ -323,12 +288,7 @@ impl Reactor {
         // lower a static schedule when the clock analysis plus the acyclic
         // equation order admit one; failure is never an error — the
         // interpreter remains the (equivalent) fallback
-        let want_compile = match mode {
-            CompileMode::Never => false,
-            CompileMode::Always => true,
-            CompileMode::Auto => compile_enabled(),
-        };
-        let plan = if !want_compile {
+        let plan = if !try_lower {
             ExecPlan::Interpreted(None)
         } else if !acyclic {
             ExecPlan::Interpreted(Some(LowerFailure::CyclicSchedule))
@@ -891,14 +851,17 @@ impl Reactor {
                         Ev::Unknown => Ev::Unknown,
                     },
                     Unop::Not | Unop::Neg => {
+                        // `- i64::MIN` overflows: a value error, like `0 - a`
                         let f = |v: Value| -> Result<Value, SimError> {
                             match (op, v) {
-                                (Unop::Not, Value::Bool(b)) => Ok(Value::Bool(!b)),
-                                (Unop::Neg, Value::Int(i)) => Ok(Value::Int(-i)),
-                                _ => {
-                                    Err(SimError::ValueType { step, signal: self.sig_name(signal) })
-                                }
+                                (Unop::Not, Value::Bool(b)) => Some(Value::Bool(!b)),
+                                (Unop::Neg, Value::Int(i)) => i.checked_neg().map(Value::Int),
+                                _ => None,
                             }
+                            .ok_or_else(|| SimError::ValueType {
+                                step,
+                                signal: self.sig_name(signal),
+                            })
                         };
                         match a {
                             Ev::Present(v) => Ev::Present(f(v)?),
@@ -1332,7 +1295,7 @@ mod tests {
             full := (fullprev and (not rdw)) or inw;
             data := (msgin when inw) default ((pre 0 data) when tick);
         }";
-        let r = Reactor::for_program_compiled(&parse_program(src).unwrap()).unwrap();
+        let r = Reactor::for_program(&parse_program(src).unwrap()).unwrap();
         assert!(r.is_compiled());
         assert!(r.compiled_op_count().unwrap() > 0);
     }
@@ -1342,7 +1305,7 @@ mod tests {
         // s's clock is not derivable from the inputs: lowering must fail
         // gracefully (no error) and leave the interpreter in charge
         let src = "process P { input set: int; output s: int; s := set default (pre 0 s); }";
-        let mut r = Reactor::for_program_compiled(&parse_program(src).unwrap()).unwrap();
+        let mut r = Reactor::for_program(&parse_program(src).unwrap()).unwrap();
         assert!(!r.is_compiled());
         assert_eq!(r.compiled_op_count(), None);
         // and execution still behaves exactly like the plain reactor
@@ -1355,19 +1318,9 @@ mod tests {
         let src =
             "process Acc { input tick: bool; output n: int; n := (pre 0 n) + (1 when tick); }";
         let p = parse_program(src).unwrap();
-        assert!(Reactor::for_program_compiled(&p).unwrap().is_compiled());
+        assert!(Reactor::for_program(&p).unwrap().is_compiled());
         assert!(!Reactor::for_program_interpreted(&p).unwrap().is_compiled());
         assert!(!Reactor::for_program_unscheduled(&p).unwrap().is_compiled());
-    }
-
-    #[test]
-    fn compile_env_switch_values() {
-        assert!(compile_enabled_from(None));
-        assert!(compile_enabled_from(Some("on")));
-        assert!(compile_enabled_from(Some("")));
-        assert!(!compile_enabled_from(Some("off")));
-        assert!(!compile_enabled_from(Some("0")));
-        assert!(!compile_enabled_from(Some("false")));
     }
 
     #[test]
@@ -1380,7 +1333,7 @@ mod tests {
             parity := (pre false parity) /= (true when tick);
         }";
         let p = parse_program(src).unwrap();
-        let mut compiled = Reactor::for_program_compiled(&p).unwrap();
+        let mut compiled = Reactor::for_program(&p).unwrap();
         let mut interp = Reactor::for_program_interpreted(&p).unwrap();
         assert!(compiled.is_compiled());
         for instant in 0..12 {
@@ -1408,7 +1361,7 @@ mod tests {
         // re-run raises the identical error
         let src = "process P { input a: int, b: int; output x: int; x := a + b; }";
         let p = parse_program(src).unwrap();
-        let mut compiled = Reactor::for_program_compiled(&p).unwrap();
+        let mut compiled = Reactor::for_program(&p).unwrap();
         let mut interp = Reactor::for_program_interpreted(&p).unwrap();
         assert!(compiled.is_compiled());
         let env = present(&[("a", Value::Int(1))]);
@@ -1426,6 +1379,28 @@ mod tests {
             compiled.react(&env).unwrap_err().to_string(),
             interp.react(&env).unwrap_err().to_string()
         );
+    }
+
+    #[test]
+    fn negating_i64_min_is_a_value_error_on_both_plans() {
+        // `- a` overflows on exactly the input `0 - a` does, and both
+        // plans raise the same value error for it
+        let neg = parse_program("process P { input a: int; output x: int; x := - a; }").unwrap();
+        let sub = parse_program("process P { input a: int; output x: int; x := 0 - a; }").unwrap();
+        let mut compiled = Reactor::for_program(&neg).unwrap();
+        let mut interp = Reactor::for_program_interpreted(&neg).unwrap();
+        assert!(compiled.is_compiled());
+        let env = present(&[("a", Value::Int(i64::MIN))]);
+        let ie = interp.react(&env).unwrap_err();
+        assert!(matches!(ie, SimError::ValueType { .. }), "got {ie}");
+        assert_eq!(compiled.react(&env).unwrap_err().to_string(), ie.to_string());
+        let se = Reactor::for_program_interpreted(&sub).unwrap().react(&env).unwrap_err();
+        assert_eq!(se.to_string(), ie.to_string());
+        // the largest negatable value still negates
+        let env = present(&[("a", Value::Int(i64::MIN + 1))]);
+        let out = compiled.react(&env).unwrap();
+        assert_eq!(out, interp.react(&env).unwrap());
+        assert!(out.contains(&(SigName::from("x"), Value::Int(i64::MAX))));
     }
 
     #[test]

@@ -79,7 +79,7 @@ impl Unroller {
         alphabet: &Alphabet,
         env: Option<&EnvAutomaton>,
     ) -> Result<(Unroller, Reactor), VerifyError> {
-        let reactor = Reactor::for_program_compiled(program)?;
+        let reactor = Reactor::for_program(program)?;
         let Some(cc) = reactor.compiled_schedule().cloned() else {
             let why = reactor.lower_failure().map(|f| format!(": {f}")).unwrap_or_default();
             return Err(unsupported(format!("program does not lower to a static schedule{why}")));

@@ -43,7 +43,7 @@ pub struct CheckOptions {
     /// larger values split each sufficiently large BFS layer across scoped
     /// workers. The verdict, every counter and the counterexample are
     /// identical for every value — only wall-clock time changes. Defaults
-    /// to the detected parallelism (`POLYSIG_TEST_THREADS` overrides it).
+    /// to the process's available parallelism (1 under `taskset -c 0`).
     pub threads: usize,
     /// Which engine answers the query: the explicit breadth-first checker
     /// (default) or symbolic bounded model checking ([`Backend::Bmc`],

@@ -102,8 +102,8 @@ fn main() {
         }
         let t_clock = t0.elapsed() / reps;
         // evals/step is RHS evaluations under interpretation but bytecode
-        // ops under the compiled plan (see `Reactor::evals`); compare runs
-        // under the same POLYSIG_COMPILE setting only
+        // ops under the compiled plan (see `Reactor::evals`); compare sizes
+        // that run the same plan only
         println!(
             "size {size:3}: desync {t_desync:?}, compile {t_compile:?} \
              (resolve {t_resolve:?}, types {t_types:?}, clock {t_clock:?}), \

@@ -251,14 +251,11 @@ fn run(args: &[String]) -> Result<(), String> {
 /// `--force` overrides the refusal and arms a watchdog so a deadlocked
 /// launch still terminates. `--all-data-driven` deploys every federate
 /// data-driven (the unsafe ring deployment PA008 exists to catch).
-/// `POLYSIG_SOAK=1` scales the default activation count to a long
-/// horizon.
 fn run_federated_cmd(args: &[String]) -> Result<(), String> {
     use polysig::analyze::{analyze_deployment, DeploymentPlan, DeploymentVerdict, LintLevel};
     use polysig::gals::runtime::{run_federated, FederateSpec, FederatedOptions};
     use polysig::sim::PeriodicInputs;
 
-    let soak = std::env::var("POLYSIG_SOAK").is_ok_and(|v| v == "1");
     let mut positionals: Vec<usize> = Vec::new();
     let (mut ring, mut all_data_driven, mut check_first, mut force) = (false, false, false, false);
     for arg in args {
@@ -275,8 +272,7 @@ fn run_federated_cmd(args: &[String]) -> Result<(), String> {
         }
     }
     let stages = positionals.first().copied().unwrap_or(4).max(2);
-    let activations =
-        positionals.get(1).copied().unwrap_or(if soak { 300_000 } else { 5_000 }).max(1);
+    let activations = positionals.get(1).copied().unwrap_or(5_000).max(1);
     let capacity = positionals.get(2).copied().unwrap_or(8).max(1);
 
     // the synthetic topology: a chain of +1 stages, either open (pipeline)

@@ -209,7 +209,7 @@ fn a_consumer_reading_its_channel_only_under_pre_lowers_after_desync() {
     .unwrap();
     let options = DesyncOptions { default_size: 1, ..DesyncOptions::default() };
     let gals = desynchronize(&p, &options).unwrap();
-    let reactor = Reactor::for_program_compiled(&gals.program).unwrap();
+    let reactor = Reactor::for_program(&gals.program).unwrap();
     assert!(reactor.is_compiled(), "no static schedule: {:?}", reactor.lower_failure());
 
     let property = Property::never_true("s0_alarm");

@@ -1,12 +1,15 @@
-//! E4 — differential validation of the dense-reaction path.
+//! E4 — differential validation of the two execution plans and the two
+//! reaction entry points.
 //!
-//! The refactor that introduced [`polysig::sim::Reactor::react_dense`]
-//! claims behavior preservation: the legacy name-keyed `react` and the new
-//! index-addressed `react_dense` must produce flow-equivalent behaviors on
-//! every program. This suite drives both entry points — the name-keyed map
-//! boundary and a hand-built [`DenseEnv`] — over the same pseudo-random
-//! scenario ensembles and asserts instant-by-instant equality of present
-//! signals, values, errors, and register files.
+//! Every drilled program lowers to a static schedule, so
+//! [`polysig::sim::Reactor::for_program`] runs it compiled, while
+//! [`polysig::sim::Reactor::for_program_interpreted`] runs the constructive
+//! interpreter. This suite drives the compiled reactor through the
+//! name-keyed `react` and the interpreter through the index-addressed
+//! `react_dense` — the map boundary against a hand-built [`DenseEnv`] —
+//! over the same pseudo-random scenario ensembles and asserts
+//! instant-by-instant equality of present signals, values, errors, and
+//! register files.
 //!
 //! Coverage: every program under `programs/`, every component builder
 //! realizing the theorem constructions validated by `tests/theorem1.rs` and
@@ -73,48 +76,49 @@ fn ensemble(inputs: &[(SigName, ValueType)], seed: u64, len: usize) -> Scenario 
     scenario
 }
 
-/// Drives `scenario` through two fresh reactors — one via the name-keyed
-/// `react`, one via `react_dense` — asserting flow-equivalence at every
-/// instant: same present signals and values, same error on rejected
-/// instants, same register file afterwards.
+/// Drives `scenario` through two fresh reactors — the compiled plan via the
+/// name-keyed `react`, the interpreter via `react_dense` — asserting
+/// flow-equivalence at every instant: same present signals and values, same
+/// error on rejected instants, same register file afterwards.
 fn assert_flow_equivalent(label: &str, program: &Program, scenario: &Scenario, tag: &str) {
-    let mut legacy = Reactor::for_program(program).expect("program compiles");
-    let mut dense = Reactor::for_program(program).expect("program compiles");
-    let names = dense.signal_names().to_vec();
-    let n = dense.signal_count();
+    let mut compiled = Reactor::for_program(program).expect("program elaborates");
+    let mut interp = Reactor::for_program_interpreted(program).expect("program elaborates");
+    assert!(compiled.is_compiled(), "{label}: no static schedule ({:?})", compiled.lower_failure());
+    let names = interp.signal_names().to_vec();
+    let n = interp.signal_count();
     let mut env = DenseEnv::new(n);
 
     for (k, step) in scenario.iter().enumerate() {
-        let legacy_out = legacy.react(step);
+        let compiled_out = compiled.react(step);
         env.reset(n);
         for (name, value) in step {
-            let id = dense.sig_id(name).expect("scenario drives declared signals");
+            let id = interp.sig_id(name).expect("scenario drives declared signals");
             env.set(id, *value);
         }
-        match (legacy_out, dense.react_dense(&env)) {
-            (Ok(l), Ok(d)) => {
-                let d: Vec<(SigName, Value)> =
-                    d.iter().map(|(id, v)| (names[id.index()].clone(), v)).collect();
-                assert_eq!(l, d, "{label}/{tag}: present sets diverge at instant {k}");
+        match (compiled_out, interp.react_dense(&env)) {
+            (Ok(c), Ok(i)) => {
+                let i: Vec<(SigName, Value)> =
+                    i.iter().map(|(id, v)| (names[id.index()].clone(), v)).collect();
+                assert_eq!(c, i, "{label}/{tag}: present sets diverge at instant {k}");
             }
-            (Err(l), Err(d)) => {
+            (Err(c), Err(i)) => {
                 assert_eq!(
-                    l.to_string(),
-                    d.to_string(),
+                    c.to_string(),
+                    i.to_string(),
                     "{label}/{tag}: errors diverge at instant {k}"
                 );
             }
-            (l, d) => panic!(
-                "{label}/{tag}: one path rejected instant {k}: legacy {l:?}, dense {}",
-                match d {
+            (c, i) => panic!(
+                "{label}/{tag}: one plan rejected instant {k}: compiled {c:?}, interpreted {}",
+                match i {
                     Ok(env) => format!("accepted {} present", env.present_count()),
                     Err(e) => format!("rejected ({e})"),
                 }
             ),
         }
         assert_eq!(
-            legacy.registers(),
-            dense.registers(),
+            compiled.registers(),
+            interp.registers(),
             "{label}/{tag}: register files diverge after instant {k}"
         );
     }

@@ -8,7 +8,7 @@ use polysig_gals::{desynchronize, DesyncOptions, GalsError};
 use polysig_lang::parse_program;
 use polysig_sim::{Scenario, SimError, Simulator};
 use polysig_tagged::{SigName, Value};
-use polysig_verify::{check, Alphabet, CheckOptions, Property, VerifyError};
+use polysig_verify::{check, Alphabet, Backend, CheckOptions, Property, VerifyError};
 
 fn acc_program() -> polysig_lang::Program {
     // the shipped saturating accumulator: with tick always present its
@@ -73,6 +73,33 @@ fn state_cap_errors_exactly_at_the_boundary() {
             other => panic!("expected StateCapExceeded, got {other}"),
         }
     }
+}
+
+#[test]
+fn negating_i64_min_is_checked_like_subtracting_it_from_zero() {
+    // `- a` and `0 - a` overflow on the same input: the explicit checker
+    // reports the same value error for both, and BMC prunes both paths
+    let neg = parse_program("process P { input a: int; output x: int; x := - a; }").unwrap();
+    let sub = parse_program("process P { input a: int; output x: int; x := 0 - a; }").unwrap();
+    let alphabet = Alphabet::exhaustive(&neg, &[1, i64::MIN]).unwrap();
+    let property = Property::always_in_range("x", -1, 0);
+    let explicit = CheckOptions { threads: 1, ..Default::default() };
+    let answer = |p| check(p, &alphabet, &property, &explicit).map(|r| r.holds);
+    let (n, s) = (answer(&neg), answer(&sub));
+    assert!(
+        matches!(n, Err(VerifyError::Sim(SimError::ValueType { .. }))),
+        "explicit `- a`: {n:?}"
+    );
+    assert_eq!(n.unwrap_err().to_string(), s.unwrap_err().to_string());
+
+    let bmc = CheckOptions { backend: Backend::Bmc { depth: 3 }, ..Default::default() };
+    let answer = |p| {
+        let r = check(p, &alphabet, &property, &bmc).unwrap();
+        (r.holds, r.counterexample)
+    };
+    let n = answer(&neg);
+    assert!(n.0, "BMC prunes the overflowing path: {n:?}");
+    assert_eq!(n, answer(&sub));
 }
 
 #[test]

@@ -175,6 +175,7 @@ fn reaction_error_tears_the_federation_down() {
 }
 
 #[test]
+#[allow(clippy::disallowed_methods, reason = "the soak gate is a test parameter")]
 fn soak_long_horizon_streams_counters() {
     // POLYSIG_SOAK=1 gates the long-horizon smoke: ≥1M instants across a
     // 4-federate chain, flow recording off, memory observed only through

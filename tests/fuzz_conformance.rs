@@ -20,6 +20,7 @@ use polysig_gen::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+#[allow(clippy::disallowed_methods, reason = "the sweep's seed and size are test parameters")]
 fn env_u64(name: &str, default: u64) -> u64 {
     match std::env::var(name) {
         Ok(v) => v.parse().unwrap_or_else(|e| panic!("{name}={v}: {e}")),
