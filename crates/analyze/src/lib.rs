@@ -193,8 +193,7 @@ pub fn analyze_program(program: &Program) -> AnalysisReport {
         );
     }
     for c in &program.components {
-        let single = Program::single(c.clone());
-        let Ok(reactor) = polysig_sim::Reactor::for_program(&single) else {
+        let Ok(reactor) = polysig_sim::Reactor::for_component(c) else {
             continue; // elaboration failures are reported by other passes
         };
         let diag = match reactor.compiled_op_count() {

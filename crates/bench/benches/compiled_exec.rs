@@ -1,7 +1,10 @@
 //! E10 — compiled execution: static schedules vs the micro-step interpreter.
 //!
 //! `compile/lower_fig2` measures the one-time lowering cost of the Figure-2
-//! buffer; `compile/exec_fig2*` drives the raw per-reaction dispatch
+//! buffer; `compile/elaborate_pipe16` elaborates the instrumented pipe
+//! network at depth 16, the size estimation rounds reach (85 declarations,
+//! where a pass that scans a component per equation shows);
+//! `compile/exec_fig2*` drives the raw per-reaction dispatch
 //! (`react_dense`) of the fig2 components under both execution plans; and
 //! `compile/round_*` time one Section-5.2 estimation round — elaborate the
 //! converged instrumented pipe network, then drive its 80-instant
@@ -99,6 +102,17 @@ fn bench(c: &mut Criterion) {
             std::hint::black_box(r.compiled_op_count())
         })
     });
+
+    {
+        let network =
+            desynchronize(&polysig_bench::pipe(), &DesyncOptions::with_size(16).instrumented())
+                .unwrap()
+                .program;
+        assert!(Reactor::for_program(&network).unwrap().is_compiled());
+        group.bench_function("elaborate_pipe16", |b| {
+            b.iter(|| std::hint::black_box(Reactor::for_program(&network).unwrap().signal_count()))
+        });
+    }
 
     {
         let mut compiled = Reactor::for_program(&buffer).unwrap();

@@ -218,9 +218,10 @@ pub fn desynchronize(
 /// call. The Section-5.2 estimation loop calls it once per round with only
 /// the FIFO depths changed, so the cache splits the work: the *skeleton* —
 /// specs, renamed components, monitors, channel signal names — is derived
-/// once at construction, and [`DesyncCache::build`] assembles a round's
-/// program from clones, fabricating a FIFO component only for `(channel,
-/// depth)` pairs never seen before.
+/// once at construction. Each round's components are lent out of the
+/// cache by reference, fabricating a FIFO component only for `(channel,
+/// depth)` pairs never seen before; [`DesyncCache::build`] clones them
+/// into a [`Desynchronized`] program.
 ///
 /// `build` produces exactly what [`desynchronize`] produces for the same
 /// options ([`desynchronize`] is itself a one-shot cache).
@@ -248,7 +249,7 @@ pub struct DesyncCache {
     skeleton: Vec<Component>,
     /// Channel metadata with the generated signal names; the `size` field
     /// is a placeholder filled in per build.
-    channels: Vec<ChannelInstance>,
+    pub(crate) channels: Vec<ChannelInstance>,
     /// Insert the Figure-4 monitors?
     instrument: bool,
     /// One monitor per channel (empty when not instrumenting).
@@ -334,6 +335,43 @@ impl DesyncCache {
         self.channels.len()
     }
 
+    /// The desynchronized program's components for one size map (channels
+    /// not in `sizes` use `default_size`), borrowed from the cache in
+    /// program order: the skeleton, then each channel's FIFO and, when
+    /// instrumenting, its monitor.
+    ///
+    /// # Errors
+    ///
+    /// [`GalsError::UnknownChannel`] if `sizes` names a signal that is not
+    /// a cut dependency.
+    pub(crate) fn components(
+        &mut self,
+        sizes: &BTreeMap<SigName, usize>,
+        default_size: usize,
+    ) -> Result<Vec<&Component>, GalsError> {
+        for named in sizes.keys() {
+            if !self.channels.iter().any(|c| &c.spec.signal == named) {
+                return Err(GalsError::UnknownChannel { signal: named.clone() });
+            }
+        }
+        let depth =
+            |ch: &ChannelInstance| sizes.get(&ch.spec.signal).copied().unwrap_or(default_size);
+        for (i, ch) in self.channels.iter().enumerate() {
+            let size = depth(ch);
+            self.fifos
+                .entry((i, size))
+                .or_insert_with(|| nfifo_component(ch.spec.signal.as_str(), size));
+        }
+        let mut out: Vec<&Component> = self.skeleton.iter().collect();
+        for (i, ch) in self.channels.iter().enumerate() {
+            out.push(&self.fifos[&(i, depth(ch))]);
+            if self.instrument {
+                out.push(&self.monitors[i]);
+            }
+        }
+        Ok(out)
+    }
+
     /// Assembles the desynchronized program for one size map (channels not
     /// in `sizes` use `default_size`).
     ///
@@ -346,26 +384,16 @@ impl DesyncCache {
         sizes: &BTreeMap<SigName, usize>,
         default_size: usize,
     ) -> Result<Desynchronized, GalsError> {
-        for named in sizes.keys() {
-            if !self.channels.iter().any(|c| &c.spec.signal == named) {
-                return Err(GalsError::UnknownChannel { signal: named.clone() });
-            }
-        }
-        let mut out = Program::new(self.name.clone());
-        out.components.extend(self.skeleton.iter().cloned());
-        let mut channels = self.channels.clone();
-        for (i, ch) in channels.iter_mut().enumerate() {
-            ch.size = sizes.get(&ch.spec.signal).copied().unwrap_or(default_size);
-            let fifo = self
-                .fifos
-                .entry((i, ch.size))
-                .or_insert_with(|| nfifo_component(ch.spec.signal.as_str(), ch.size));
-            out.components.push(fifo.clone());
-            if self.instrument {
-                out.components.push(self.monitors[i].clone());
-            }
-        }
-        Ok(Desynchronized { program: out, channels })
+        let components = self.components(sizes, default_size)?.into_iter().cloned().collect();
+        let channels = self
+            .channels
+            .iter()
+            .map(|ch| ChannelInstance {
+                size: sizes.get(&ch.spec.signal).copied().unwrap_or(default_size),
+                ..ch.clone()
+            })
+            .collect();
+        Ok(Desynchronized { program: Program { name: self.name.clone(), components }, channels })
     }
 }
 

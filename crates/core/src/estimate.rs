@@ -19,7 +19,9 @@
 //! avoids repeating the work the rounds share:
 //!
 //! * the desynchronization skeleton is derived once per loop via
-//!   [`DesyncCache`] and each round's network assembled from clones;
+//!   [`DesyncCache`], and each round elaborates the cache's own components
+//!   in place: only a channel that grew gets a new FIFO component, and
+//!   nothing is cloned into a round [`Program`];
 //! * each round compiles straight to a [`Reactor`] and is measured on dense
 //!   per-instant environments from instant 0 — alarms and miss registers
 //!   are read off the reaction outputs directly, skipping the full trace
@@ -304,10 +306,10 @@ impl Estimator {
             if self.compiled.len() >= MAX_COMPILED_ROUNDS {
                 self.compiled.clear();
             }
-            let d = self.cache.build(sizes, 1)?;
-            let reactor = Reactor::for_program(&d.program)?;
+            let reactor = Reactor::for_components(&self.cache.components(sizes, 1)?)?;
             let id = |s: &SigName| reactor.sig_id(s.as_str()).expect("channel signal is interned");
-            let ids = d
+            let ids = self
+                .cache
                 .channels
                 .iter()
                 .map(|ch| {

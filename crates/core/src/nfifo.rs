@@ -19,7 +19,7 @@
 //! experiments.
 
 use polysig_lang::{Binop, Component, ComponentBuilder, Expr};
-use polysig_tagged::{Value, ValueType};
+use polysig_tagged::{SigName, Value, ValueType};
 
 /// The component name [`nfifo_component`] generates for channel `name`.
 pub fn fifo_component_name(name: &str) -> String {
@@ -48,136 +48,120 @@ pub fn fifo_component_name(name: &str) -> String {
 /// transformation starts from).
 pub fn nfifo_component(name: &str, n: usize) -> Component {
     assert!(n > 0, "an n-place FIFO needs n >= 1");
-    let input = format!("{name}_in");
-    let rd = format!("{name}_rd");
-    let out = format!("{name}_out");
-    let alarm = format!("{name}_alarm");
-    let ok = format!("{name}_ok");
-    let count = format!("{name}_count");
-    let full = format!("{name}_full");
-    let inw = format!("{name}_inw");
-    let rdw_flag = format!("{name}_rdw");
-    let d = |i: usize| format!("{name}_d{i}");
-    let f = |i: usize| format!("{name}_f{i}");
-    let fp = |i: usize| format!("{name}_fp{i}");
-    let mv = |i: usize| format!("{name}_mv{i}");
+    // every name is made once; each use shares its string
+    let sig = |suffix: &str| SigName::from(format!("{name}_{suffix}"));
+    let stages = |kind: &str| -> Vec<SigName> {
+        (1..=n).map(|i| SigName::from(format!("{name}_{kind}{i}"))).collect()
+    };
+    let (input, rd, out, alarm, ok) = (sig("in"), sig("rd"), sig("out"), sig("alarm"), sig("ok"));
+    let (count, full, inw, rdw_flag) = (sig("count"), sig("full"), sig("inw"), sig("rdw"));
+    let tick = SigName::from("tick");
+    let (ds, fs, fps, mvs) = (stages("d"), stages("f"), stages("fp"), stages("mv"));
+    let d = |i: usize| &ds[i - 1];
+    let f = |i: usize| &fs[i - 1];
+    let fp = |i: usize| &fps[i - 1];
+    let mv = |i: usize| &mvs[i - 1];
 
     let mut b = ComponentBuilder::new(fifo_component_name(name))
-        .input(input.as_str(), ValueType::Int)
-        .input(rd.as_str(), ValueType::Bool)
-        .input("tick", ValueType::Bool)
-        .output(out.as_str(), ValueType::Int)
-        .output(alarm.as_str(), ValueType::Bool)
-        .output(ok.as_str(), ValueType::Bool)
-        .output(count.as_str(), ValueType::Int)
-        .output(full.as_str(), ValueType::Bool)
-        .local(inw.as_str(), ValueType::Bool)
-        .local(rdw_flag.as_str(), ValueType::Bool);
+        .input(&input, ValueType::Int)
+        .input(&rd, ValueType::Bool)
+        .input(&tick, ValueType::Bool)
+        .output(&out, ValueType::Int)
+        .output(&alarm, ValueType::Bool)
+        .output(&ok, ValueType::Bool)
+        .output(&count, ValueType::Int)
+        .output(&full, ValueType::Bool)
+        .local(&inw, ValueType::Bool)
+        .local(&rdw_flag, ValueType::Bool);
     for i in 1..=n {
         b = b
-            .local(d(i).as_str(), ValueType::Int)
-            .local(f(i).as_str(), ValueType::Bool)
-            .local(fp(i).as_str(), ValueType::Bool)
-            .local(mv(i).as_str(), ValueType::Bool);
+            .local(d(i), ValueType::Int)
+            .local(f(i), ValueType::Bool)
+            .local(fp(i), ValueType::Bool)
+            .local(mv(i), ValueType::Bool);
     }
     // the stage registers and the count live on the master clock
-    let mut sync_names: Vec<String> = vec!["tick".into(), count.clone()];
+    let mut sync_names = vec![&tick, &count];
     for i in 1..=n {
         sync_names.push(d(i));
         sync_names.push(f(i));
     }
-    b = b.sync(sync_names.iter().map(String::as_str));
+    b = b.sync(sync_names);
 
     // write / read attempts as booleans at the master clock
     b = b.equation(
-        inw.as_str(),
-        Expr::var(input.as_str()).clock().default(Expr::bool(false).when(Expr::var("tick"))),
+        &inw,
+        Expr::var(&input).clock().default(Expr::bool(false).when(Expr::var(&tick))),
     );
-    b = b.equation(
-        rdw_flag.as_str(),
-        Expr::var(rd.as_str()).default(Expr::bool(false).when(Expr::var("tick"))),
-    );
+    b = b.equation(&rdw_flag, Expr::var(&rd).default(Expr::bool(false).when(Expr::var(&tick))));
 
     // previous occupancy per stage
     for i in 1..=n {
-        b = b.equation(
-            fp(i).as_str(),
-            Expr::var(f(i).as_str()).pre(Value::FALSE).when(Expr::var("tick")),
-        );
+        b = b.equation(fp(i), Expr::var(f(i)).pre(Value::FALSE).when(Expr::var(&tick)));
     }
 
     // movement chain, back to front:
     //   mv_n = take = rdw ∧ fp_n
     //   mv_i = fp_i ∧ (¬fp_{i+1} ∨ mv_{i+1})        (i < n)
-    b = b.equation(
-        mv(n).as_str(),
-        Expr::var(rdw_flag.as_str()).binop(Binop::And, Expr::var(fp(n).as_str())),
-    );
+    b = b.equation(mv(n), Expr::var(&rdw_flag).binop(Binop::And, Expr::var(fp(n))));
     for i in (1..n).rev() {
         b = b.equation(
-            mv(i).as_str(),
-            Expr::var(fp(i).as_str()).binop(
+            mv(i),
+            Expr::var(fp(i)).binop(
                 Binop::And,
-                Expr::var(fp(i + 1).as_str()).not().binop(Binop::Or, Expr::var(mv(i + 1).as_str())),
+                Expr::var(fp(i + 1)).not().binop(Binop::Or, Expr::var(mv(i + 1))),
             ),
         );
     }
 
     // put = inw ∧ (¬fp_1 ∨ mv_1)
-    let put = Expr::var(inw.as_str()).binop(
-        Binop::And,
-        Expr::var(fp(1).as_str()).not().binop(Binop::Or, Expr::var(mv(1).as_str())),
-    );
+    let put = Expr::var(&inw)
+        .binop(Binop::And, Expr::var(fp(1)).not().binop(Binop::Or, Expr::var(mv(1))));
 
     // occupancy updates: f_i' = (fp_i ∧ ¬mv_i) ∨ incoming_i
     for i in 1..=n {
-        let incoming = if i == 1 { put.clone() } else { Expr::var(mv(i - 1).as_str()) };
+        let incoming = if i == 1 { put.clone() } else { Expr::var(mv(i - 1)) };
         b = b.equation(
-            f(i).as_str(),
-            Expr::var(fp(i).as_str())
-                .binop(Binop::And, Expr::var(mv(i).as_str()).not())
-                .binop(Binop::Or, incoming),
+            f(i),
+            Expr::var(fp(i)).binop(Binop::And, Expr::var(mv(i)).not()).binop(Binop::Or, incoming),
         );
     }
 
     // data movement: stage 1 takes the fresh write, stage i > 1 takes the
     // predecessor's previous value when it shifts
     b = b.equation(
-        d(1).as_str(),
-        Expr::var(input.as_str())
+        d(1),
+        Expr::var(&input)
             .when(put.clone())
-            .default(Expr::var(d(1).as_str()).pre(Value::Int(0)).when(Expr::var("tick"))),
+            .default(Expr::var(d(1)).pre(Value::Int(0)).when(Expr::var(&tick))),
     );
     for i in 2..=n {
         b = b.equation(
-            d(i).as_str(),
-            Expr::var(d(i - 1).as_str())
+            d(i),
+            Expr::var(d(i - 1))
                 .pre(Value::Int(0))
-                .when(Expr::var(mv(i - 1).as_str()))
-                .default(Expr::var(d(i).as_str()).pre(Value::Int(0)).when(Expr::var("tick"))),
+                .when(Expr::var(mv(i - 1)))
+                .default(Expr::var(d(i)).pre(Value::Int(0)).when(Expr::var(&tick))),
         );
     }
 
     // output: stage n's stored value on a successful read
-    b = b.equation(
-        out.as_str(),
-        Expr::var(d(n).as_str()).pre(Value::Int(0)).when(Expr::var(mv(n).as_str())),
-    );
+    b = b.equation(&out, Expr::var(d(n)).pre(Value::Int(0)).when(Expr::var(mv(n))));
 
     // Section 5.1 instrumentation hooks: alarm/ok at write attempts
-    let rejected = Expr::var(fp(1).as_str()).binop(Binop::And, Expr::var(mv(1).as_str()).not());
-    b = b.equation(alarm.as_str(), rejected.clone().when(Expr::var(inw.as_str())));
-    b = b.equation(ok.as_str(), rejected.not().when(Expr::var(inw.as_str())));
+    let rejected = Expr::var(fp(1)).binop(Binop::And, Expr::var(mv(1)).not());
+    b = b.equation(&alarm, rejected.clone().when(Expr::var(&inw)));
+    b = b.equation(&ok, rejected.not().when(Expr::var(&inw)));
 
     // masking indicator: stage 1 occupied at the end of this tick
-    b = b.equation(full.as_str(), Expr::var(f(1).as_str()));
+    b = b.equation(&full, Expr::var(f(1)));
 
     // occupancy count (previous tick)
-    let mut sum = Expr::var(fp(1).as_str()).if_int();
+    let mut sum = Expr::var(fp(1)).if_int();
     for i in 2..=n {
-        sum = sum.binop(Binop::Add, Expr::var(fp(i).as_str()).if_int());
+        sum = sum.binop(Binop::Add, Expr::var(fp(i)).if_int());
     }
-    b = b.equation(count.as_str(), sum);
+    b = b.equation(&count, sum);
 
     b.build()
 }

@@ -8,7 +8,8 @@
 //! synchronization constraints `x ^= y` (the latter are derived syntax in the
 //! paper but ubiquitous in its examples).
 
-use std::collections::BTreeSet;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 use polysig_tagged::{SigName, Value, ValueType};
@@ -213,30 +214,28 @@ impl Expr {
         Expr::Binary { op, left: Box::new(self), right: Box::new(other) }
     }
 
-    /// Collects every signal name read by the expression into `out`.
-    pub fn collect_vars(&self, out: &mut BTreeSet<SigName>) {
+    /// Calls `f` on every signal reference in the expression, left to
+    /// right, repeats included.
+    pub(crate) fn visit_vars<'e>(&'e self, f: &mut impl FnMut(&'e SigName)) {
         match self {
-            Expr::Var(x) => {
-                out.insert(x.clone());
-            }
+            Expr::Var(x) => f(x),
             Expr::Const(_) => {}
-            Expr::Pre { body, .. } => body.collect_vars(out),
-            Expr::When { body, cond } => {
-                body.collect_vars(out);
-                cond.collect_vars(out);
+            Expr::Pre { body: arg, .. } | Expr::Unary { arg, .. } => arg.visit_vars(f),
+            Expr::When { body: left, cond: right }
+            | Expr::Default { left, right }
+            | Expr::Binary { left, right, .. } => {
+                left.visit_vars(f);
+                right.visit_vars(f);
             }
-            Expr::Default { left, right } | Expr::Binary { left, right, .. } => {
-                left.collect_vars(out);
-                right.collect_vars(out);
-            }
-            Expr::Unary { arg, .. } => arg.collect_vars(out),
         }
     }
 
     /// The signals read by the expression.
     pub fn free_vars(&self) -> BTreeSet<SigName> {
         let mut out = BTreeSet::new();
-        self.collect_vars(&mut out);
+        self.visit_vars(&mut |x| {
+            out.insert(x.clone());
+        });
         out
     }
 
@@ -419,6 +418,47 @@ impl Component {
                 })
                 .collect(),
         }
+    }
+}
+
+/// A component's declarations indexed by name, so that a pass looks each
+/// use up in one hash probe instead of scanning `decls`. Like
+/// [`Component::decl`], a name declared twice maps to its first
+/// declaration. Names come from source text, so the index keeps the
+/// standard hasher's protection against keys crafted to collide.
+pub(crate) struct DeclIndex<'a> {
+    decls: &'a [Declaration],
+    position: HashMap<&'a str, usize>,
+    /// The first declaration, in declaration order, whose name an earlier
+    /// one already took.
+    pub(crate) duplicate: Option<&'a Declaration>,
+}
+
+impl<'a> DeclIndex<'a> {
+    pub(crate) fn new(c: &'a Component) -> Self {
+        let mut position = HashMap::with_capacity(c.decls.len());
+        let mut duplicate = None;
+        for (i, d) in c.decls.iter().enumerate() {
+            match position.entry(d.name.as_str()) {
+                Entry::Vacant(slot) => {
+                    slot.insert(i);
+                }
+                Entry::Occupied(_) => {
+                    duplicate.get_or_insert(d);
+                }
+            }
+        }
+        DeclIndex { decls: &c.decls, position, duplicate }
+    }
+
+    /// The position in `decls` of the first declaration of `name`.
+    pub(crate) fn position(&self, name: &SigName) -> Option<usize> {
+        self.position.get(name.as_str()).copied()
+    }
+
+    /// The first declaration of `name`.
+    pub(crate) fn get(&self, name: &SigName) -> Option<&'a Declaration> {
+        self.position(name).map(|i| &self.decls[i])
     }
 }
 

@@ -20,7 +20,8 @@
 //! plus values, the classical sufficient condition for safe
 //! desynchronization (Benveniste et al., "From synchrony to asynchrony").
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeSet, HashMap};
+use std::sync::OnceLock;
 
 use polysig_tagged::{SigName, Value};
 
@@ -36,21 +37,61 @@ pub struct ClockClass {
 }
 
 /// Result of the clock calculus on one component.
+///
+/// The name index and the transitive closure are built on the first query
+/// that needs them: elaboration reads only the classes and the edges.
 #[derive(Debug, Clone)]
 pub struct ClockAnalysis {
     /// The clock-equivalence classes.
     pub classes: Vec<ClockClass>,
-    class_of: BTreeMap<SigName, usize>,
+    /// The class of each declaration, in declaration order.
+    decl_classes: Vec<usize>,
+    class_of: OnceLock<HashMap<SigName, usize>>,
     /// `(a, b)` means class `a`'s clock is included in class `b`'s clock.
     edges: BTreeSet<(usize, usize)>,
     /// Transitive closure of `edges`.
-    closure: BTreeSet<(usize, usize)>,
+    closure: OnceLock<BTreeSet<(usize, usize)>>,
 }
 
 impl ClockAnalysis {
     /// The class id of a signal, if analyzed.
     pub fn class_of(&self, name: &SigName) -> Option<usize> {
-        self.class_of.get(name).copied()
+        let index = self.class_of.get_or_init(|| {
+            self.classes
+                .iter()
+                .flat_map(|class| class.members.iter().map(|m| (m.clone(), class.id)))
+                .collect()
+        });
+        index.get(name).copied()
+    }
+
+    /// The class id of each declaration of the analyzed component, in
+    /// declaration order.
+    pub fn decl_classes(&self) -> &[usize] {
+        &self.decl_classes
+    }
+
+    /// Transitive closure of the `⊆` edges.
+    fn closure(&self) -> &BTreeSet<(usize, usize)> {
+        self.closure.get_or_init(|| {
+            // tiny graphs — Floyd-Warshall style
+            let n = self.classes.len();
+            let mut closure = self.edges.clone();
+            loop {
+                let mut grew = false;
+                let snapshot: Vec<(usize, usize)> = closure.iter().copied().collect();
+                for &(a, b) in &snapshot {
+                    for k in 0..n {
+                        if closure.contains(&(b, k)) && a != k && closure.insert((a, k)) {
+                            grew = true;
+                        }
+                    }
+                }
+                if !grew {
+                    break closure;
+                }
+            }
+        })
     }
 
     /// `true` iff two signals provably share a clock.
@@ -65,7 +106,7 @@ impl ClockAnalysis {
     /// (`clk(a) ⊆ clk(b)`), including equality.
     pub fn dominated_by(&self, a: &SigName, b: &SigName) -> bool {
         match (self.class_of(a), self.class_of(b)) {
-            (Some(ca), Some(cb)) => ca == cb || self.closure.contains(&(ca, cb)),
+            (Some(ca), Some(cb)) => ca == cb || self.closure().contains(&(ca, cb)),
             _ => false,
         }
     }
@@ -81,7 +122,7 @@ impl ClockAnalysis {
         (0..self.classes.len())
             .filter(|&c| {
                 !(0..self.classes.len()).any(|d| {
-                    d != c && self.closure.contains(&(c, d)) && !self.closure.contains(&(d, c))
+                    d != c && self.closure().contains(&(c, d)) && !self.closure().contains(&(d, c))
                 })
             })
             .collect()
@@ -97,8 +138,9 @@ impl ClockAnalysis {
         // one clock in disguise (the union-find only merges *syntactic*
         // equalities, while cyclic ⊆ edges prove semantic equality)
         self.classes.len() <= 1
-            || (0..self.classes.len())
-                .any(|m| (0..self.classes.len()).all(|c| c == m || self.closure.contains(&(c, m))))
+            || (0..self.classes.len()).any(|m| {
+                (0..self.classes.len()).all(|c| c == m || self.closure().contains(&(c, m)))
+            })
     }
 
     /// The id of a class dominating every other class, if the hierarchy is
@@ -109,7 +151,7 @@ impl ClockAnalysis {
             return self.classes.first().map(|c| c.id);
         }
         (0..self.classes.len())
-            .find(|&m| (0..self.classes.len()).all(|c| c == m || self.closure.contains(&(c, m))))
+            .find(|&m| (0..self.classes.len()).all(|c| c == m || self.closure().contains(&(c, m))))
     }
 
     /// `true` iff `a` and `b` provably share presence instants: either the
@@ -118,7 +160,8 @@ impl ClockAnalysis {
     pub fn equal_clock(&self, a: &SigName, b: &SigName) -> bool {
         match (self.class_of(a), self.class_of(b)) {
             (Some(ca), Some(cb)) => {
-                ca == cb || (self.closure.contains(&(ca, cb)) && self.closure.contains(&(cb, ca)))
+                ca == cb
+                    || (self.closure().contains(&(ca, cb)) && self.closure().contains(&(cb, ca)))
             }
             _ => false,
         }
@@ -141,7 +184,7 @@ impl ClockAnalysis {
         // an input anchors the hierarchy when its class dominates every class
         let anchored = inputs.iter().any(|i| {
             self.class_of(i).is_some_and(|ci| {
-                (0..self.classes.len()).all(|c| c == ci || self.closure.contains(&(c, ci)))
+                (0..self.classes.len()).all(|c| c == ci || self.closure().contains(&(c, ci)))
             })
         });
         if anchored {
@@ -238,55 +281,48 @@ pub fn const_guard_source(e: &Expr) -> Option<&SigName> {
 }
 
 /// Internal symbolic clock of an expression, over the analyzer's dense
-/// signal indices (the hot path never touches a name).
+/// signal indices (the hot path never touches a name). Bounds are plain
+/// vectors that may repeat a signal: every consumer treats them as sets.
 enum ClockTerm {
     /// Same clock as a signal.
     Sig(u32),
     /// Sampled: included in the clocks of `uppers`.
-    Sampled { uppers: BTreeSet<u32> },
+    Sampled { uppers: Vec<u32> },
     /// Union: includes the clocks of `lowers`; included in nothing known.
-    Union { lowers: BTreeSet<u32>, uppers: BTreeSet<u32> },
+    Union { lowers: Vec<u32>, uppers: Vec<u32> },
     /// Adapts to context (constants).
     Context,
 }
 
 impl ClockTerm {
-    fn uppers(&self) -> BTreeSet<u32> {
+    /// `(lowers, uppers)`: the signals whose clocks this term's clock
+    /// includes, and those whose clocks include it.
+    fn into_bounds(self) -> (Vec<u32>, Vec<u32>) {
         match self {
-            ClockTerm::Sig(s) => [*s].into(),
-            ClockTerm::Sampled { uppers } | ClockTerm::Union { uppers, .. } => uppers.clone(),
-            ClockTerm::Context => BTreeSet::new(),
-        }
-    }
-
-    fn lowers(&self) -> BTreeSet<u32> {
-        match self {
-            ClockTerm::Sig(s) => [*s].into(),
-            ClockTerm::Union { lowers, .. } => lowers.clone(),
-            ClockTerm::Sampled { .. } | ClockTerm::Context => BTreeSet::new(),
+            ClockTerm::Sig(s) => (vec![s], vec![s]),
+            ClockTerm::Sampled { uppers } => (Vec::new(), uppers),
+            ClockTerm::Union { lowers, uppers } => (lowers, uppers),
+            ClockTerm::Context => (Vec::new(), Vec::new()),
         }
     }
 }
 
-struct Analyzer {
+struct Analyzer<'a> {
     /// Dense index per signal name, grown lazily for names the component
     /// never declares (resolution may not have run yet).
-    index: polysig_tagged::hash::FxHashMap<SigName, u32>,
-    names: Vec<SigName>,
+    index: HashMap<&'a str, u32>,
     parent: Vec<u32>,
-    /// subset edges between signals: (sub, sup)
-    subset: BTreeSet<(u32, u32)>,
+    /// subset edges between signals: (sub, sup), possibly repeated
+    subset: Vec<(u32, u32)>,
 }
 
-impl Analyzer {
-    fn id(&mut self, x: &SigName) -> u32 {
-        if let Some(&i) = self.index.get(x) {
-            return i;
+impl<'a> Analyzer<'a> {
+    fn id(&mut self, x: &'a SigName) -> u32 {
+        let next = self.parent.len() as u32;
+        let i = *self.index.entry(x.as_str()).or_insert(next);
+        if i == next {
+            self.parent.push(i);
         }
-        let i = self.names.len() as u32;
-        self.index.insert(x.clone(), i);
-        self.names.push(x.clone());
-        self.parent.push(i);
         i
     }
 
@@ -315,25 +351,22 @@ impl Analyzer {
 
     /// Clock of an expression; emits equality/subset constraints as a side
     /// effect.
-    fn clock_of(&mut self, e: &Expr) -> ClockTerm {
+    fn clock_of(&mut self, e: &'a Expr) -> ClockTerm {
         match e {
             Expr::Var(x) => ClockTerm::Sig(self.id(x)),
             Expr::Const(_) => ClockTerm::Context,
             Expr::Pre { body, .. } => self.clock_of(body),
             Expr::Unary { arg, .. } => self.clock_of(arg),
             Expr::When { body, cond } => {
-                let tb = self.clock_of(body);
-                let tc = self.clock_of(cond);
-                let mut uppers = tb.uppers();
-                uppers.extend(tc.uppers());
+                let (_, mut uppers) = self.clock_of(body).into_bounds();
+                uppers.extend(self.clock_of(cond).into_bounds().1);
                 ClockTerm::Sampled { uppers }
             }
             Expr::Default { left, right } => {
-                let tl = self.clock_of(left);
-                let tr = self.clock_of(right);
-                let lowers: BTreeSet<u32> = tl.lowers().union(&tr.lowers()).copied().collect();
-                let uppers: BTreeSet<u32> =
-                    tl.uppers().intersection(&tr.uppers()).copied().collect();
+                let (mut lowers, mut uppers) = self.clock_of(left).into_bounds();
+                let (right_lowers, right_uppers) = self.clock_of(right).into_bounds();
+                lowers.extend(right_lowers);
+                uppers.retain(|u| right_uppers.contains(u));
                 ClockTerm::Union { lowers, uppers }
             }
             Expr::Binary { left, right, .. } => {
@@ -368,10 +401,9 @@ impl Analyzer {
 /// ```
 pub fn analyze_component(c: &Component) -> ClockAnalysis {
     let mut az = Analyzer {
-        index: polysig_tagged::hash::FxHashMap::default(),
-        names: Vec::with_capacity(c.decls.len()),
+        index: HashMap::with_capacity(c.decls.len()),
         parent: Vec::with_capacity(c.decls.len()),
-        subset: BTreeSet::new(),
+        subset: Vec::new(),
     };
     let decl_ids: Vec<u32> = c.decls.iter().map(|d| az.id(&d.name)).collect();
     for stmt in &c.stmts {
@@ -379,16 +411,13 @@ pub fn analyze_component(c: &Component) -> ClockAnalysis {
             Statement::Eq(eq) => {
                 let term = az.clock_of(&eq.rhs);
                 let lhs = az.id(&eq.lhs);
-                match &term {
-                    ClockTerm::Sig(y) => az.union(lhs, *y),
+                match term {
+                    ClockTerm::Sig(y) => az.union(lhs, y),
                     ClockTerm::Context => {}
-                    _ => {
-                        for u in term.uppers() {
-                            az.subset.insert((lhs, u));
-                        }
-                        for l in term.lowers() {
-                            az.subset.insert((l, lhs));
-                        }
+                    term => {
+                        let (lowers, uppers) = term.into_bounds();
+                        az.subset.extend(uppers.into_iter().map(|u| (lhs, u)));
+                        az.subset.extend(lowers.into_iter().map(|l| (l, lhs)));
                     }
                 }
             }
@@ -402,10 +431,10 @@ pub fn analyze_component(c: &Component) -> ClockAnalysis {
     }
 
     // build classes over the declared signals, in declaration order
-    let mut rep_to_class: Vec<usize> = vec![usize::MAX; az.names.len()];
+    let mut rep_to_class: Vec<usize> = vec![usize::MAX; az.parent.len()];
     let mut classes: Vec<ClockClass> = Vec::new();
-    let mut class_of: BTreeMap<SigName, usize> = BTreeMap::new();
-    let mut class_of_id: Vec<usize> = vec![usize::MAX; az.names.len()];
+    let mut decl_classes: Vec<usize> = Vec::with_capacity(c.decls.len());
+    let mut class_of_id: Vec<usize> = vec![usize::MAX; az.parent.len()];
     for (&sid, d) in decl_ids.iter().zip(&c.decls) {
         let rep = az.find(sid) as usize;
         if rep_to_class[rep] == usize::MAX {
@@ -414,7 +443,7 @@ pub fn analyze_component(c: &Component) -> ClockAnalysis {
         }
         let id = rep_to_class[rep];
         classes[id].members.push(d.name.clone());
-        class_of.insert(d.name.clone(), id);
+        decl_classes.push(id);
         class_of_id[sid as usize] = id;
     }
 
@@ -427,25 +456,13 @@ pub fn analyze_component(c: &Component) -> ClockAnalysis {
         }
     }
 
-    // transitive closure (tiny graphs — Floyd-Warshall style)
-    let n = classes.len();
-    let mut closure = edges.clone();
-    loop {
-        let mut grew = false;
-        let snapshot: Vec<(usize, usize)> = closure.iter().copied().collect();
-        for &(a, b) in &snapshot {
-            for k in 0..n {
-                if closure.contains(&(b, k)) && a != k && closure.insert((a, k)) {
-                    grew = true;
-                }
-            }
-        }
-        if !grew {
-            break;
-        }
+    ClockAnalysis {
+        classes,
+        decl_classes,
+        class_of: OnceLock::new(),
+        edges,
+        closure: OnceLock::new(),
     }
-
-    ClockAnalysis { classes, class_of, edges, closure }
 }
 
 #[cfg(test)]

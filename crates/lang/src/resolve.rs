@@ -8,85 +8,85 @@
 //!   single-producer assumption below Theorem 2 — multi-producer designs
 //!   must go through explicit fork/merge components).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::HashMap;
 
 use polysig_tagged::SigName;
 
-use crate::ast::{Component, Program, Role, Statement};
+use crate::ast::{Component, DeclIndex, Expr, Program, Role, Statement};
 use crate::error::LangError;
 
 /// Resolves one component.
 ///
 /// # Errors
 ///
-/// Returns the first violated rule as a [`LangError`].
+/// Returns the first violated rule as a [`LangError`]: a duplicate
+/// declaration at its second occurrence, then statement by statement an
+/// undeclared left-hand side, a defined input, a second definition and the
+/// smallest undeclared name the right-hand side reads, then the first
+/// declaration left undefined.
 pub fn resolve_component(c: &Component) -> Result<(), LangError> {
-    // no duplicate declarations
-    let mut seen: BTreeSet<&SigName> = BTreeSet::new();
-    for d in &c.decls {
-        if !seen.insert(&d.name) {
-            return Err(LangError::DuplicateDeclaration {
-                component: c.name.clone(),
-                name: d.name.clone(),
-            });
-        }
+    let index = DeclIndex::new(c);
+    if let Some(d) = index.duplicate {
+        return Err(LangError::DuplicateDeclaration {
+            component: c.name.clone(),
+            name: d.name.clone(),
+        });
     }
-    let declared: BTreeSet<SigName> = c.names();
+    let undeclared = |name: &SigName| LangError::UndeclaredSignal {
+        component: c.name.clone(),
+        name: name.clone(),
+    };
 
-    let mut defined: BTreeSet<SigName> = BTreeSet::new();
+    // `defined[i]`: declaration `i` has an equation (positions are unique
+    // once duplicates are ruled out)
+    let mut defined = vec![false; c.decls.len()];
     for stmt in &c.stmts {
         match stmt {
             Statement::Eq(eq) => {
-                if !declared.contains(&eq.lhs) {
-                    return Err(LangError::UndeclaredSignal {
-                        component: c.name.clone(),
-                        name: eq.lhs.clone(),
-                    });
-                }
-                if c.decl(&eq.lhs).expect("declared").role == Role::Input {
+                let i = index.position(&eq.lhs).ok_or_else(|| undeclared(&eq.lhs))?;
+                if c.decls[i].role == Role::Input {
                     return Err(LangError::InputDefined {
                         component: c.name.clone(),
                         name: eq.lhs.clone(),
                     });
                 }
-                if !defined.insert(eq.lhs.clone()) {
+                if std::mem::replace(&mut defined[i], true) {
                     return Err(LangError::MultipleDefinitions {
                         component: c.name.clone(),
                         name: eq.lhs.clone(),
                     });
                 }
-                for v in eq.rhs.free_vars() {
-                    if !declared.contains(&v) {
-                        return Err(LangError::UndeclaredSignal {
-                            component: c.name.clone(),
-                            name: v,
-                        });
-                    }
+                if let Some(v) = smallest_undeclared(&eq.rhs, &index) {
+                    return Err(undeclared(v));
                 }
             }
             Statement::Sync(names) => {
-                for n in names {
-                    if !declared.contains(n) {
-                        return Err(LangError::UndeclaredSignal {
-                            component: c.name.clone(),
-                            name: n.clone(),
-                        });
-                    }
+                if let Some(n) = names.iter().find(|n| index.position(n).is_none()) {
+                    return Err(undeclared(n));
                 }
             }
         }
     }
 
     // outputs and locals must be defined
-    for d in &c.decls {
-        if d.role != Role::Input && !defined.contains(&d.name) {
-            return Err(LangError::MissingDefinition {
-                component: c.name.clone(),
-                name: d.name.clone(),
-            });
+    match c.decls.iter().zip(&defined).find(|(d, &def)| d.role != Role::Input && !def) {
+        Some((d, _)) => {
+            Err(LangError::MissingDefinition { component: c.name.clone(), name: d.name.clone() })
         }
+        None => Ok(()),
     }
-    Ok(())
+}
+
+/// The smallest name `e` reads that `index` does not declare: the one a
+/// walk of its sorted free variables meets first.
+fn smallest_undeclared<'e>(e: &'e Expr, index: &DeclIndex<'_>) -> Option<&'e SigName> {
+    let mut smallest: Option<&SigName> = None;
+    e.visit_vars(&mut |x| {
+        if smallest.is_none_or(|s| x < s) && index.position(x).is_none() {
+            smallest = Some(x);
+        }
+    });
+    smallest
 }
 
 /// Resolves a whole program: each component individually, plus the
@@ -96,14 +96,25 @@ pub fn resolve_component(c: &Component) -> Result<(), LangError> {
 ///
 /// Returns the first violated rule as a [`LangError`].
 pub fn resolve_program(p: &Program) -> Result<(), LangError> {
-    let mut writer: BTreeMap<SigName, String> = BTreeMap::new();
-    for c in &p.components {
+    resolve_components(&p.components)
+}
+
+/// [`resolve_program`] over components held anywhere, in program order.
+///
+/// # Errors
+///
+/// Returns the first violated rule as a [`LangError`].
+pub fn resolve_components<'a>(
+    components: impl IntoIterator<Item = &'a Component>,
+) -> Result<(), LangError> {
+    let mut writer: HashMap<&str, &str> = HashMap::new();
+    for c in components {
         resolve_component(c)?;
         for d in c.signals_with_role(Role::Output) {
-            if let Some(prev) = writer.insert(d.name.clone(), c.name.clone()) {
+            if let Some(prev) = writer.insert(d.name.as_str(), &c.name) {
                 return Err(LangError::MultipleWriters {
                     name: d.name.clone(),
-                    components: (prev, c.name.clone()),
+                    components: (prev.to_string(), c.name.clone()),
                 });
             }
         }
@@ -162,6 +173,46 @@ mod tests {
         let c =
             parse_component("process P { input a: int; local a: int; a := 1 when true; }").unwrap();
         assert!(matches!(resolve_component(&c), Err(LangError::DuplicateDeclaration { .. })));
+    }
+
+    fn undeclared(c: &Component) -> String {
+        match resolve_component(c) {
+            Err(LangError::UndeclaredSignal { name, .. }) => name.to_string(),
+            other => panic!("expected an undeclared signal, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn of_two_undeclared_reads_the_smaller_name_is_reported() {
+        let c = parse_component("process P { output b: int; b := zz + aa; }").unwrap();
+        assert_eq!(undeclared(&c), "aa");
+        let c =
+            parse_component("process P { output b: int; b := (pre 0 mm) default (kk when q); }")
+                .unwrap();
+        assert_eq!(undeclared(&c), "kk");
+    }
+
+    #[test]
+    fn a_duplicate_declaration_is_reported_at_its_second_occurrence() {
+        let c = parse_component(
+            "process P { input b: int; input a: int; local b: int; local a: int; }",
+        )
+        .unwrap();
+        match resolve_component(&c) {
+            Err(LangError::DuplicateDeclaration { name, .. }) => assert_eq!(name.as_str(), "b"),
+            other => panic!("expected a duplicate declaration, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_undeclared_lhs_is_reported_before_its_right_hand_side() {
+        let c =
+            parse_component("process P { output b: int; ghost := aa; b := 1 when true; }").unwrap();
+        assert_eq!(undeclared(&c), "ghost");
+        // and an undeclared read before a later equation's errors
+        let c =
+            parse_component("process P { input a: int; output b: int; b := zz; a := 1; }").unwrap();
+        assert_eq!(undeclared(&c), "zz");
     }
 
     #[test]

@@ -1,20 +1,24 @@
 //! Type checking (bool/int, the paper's value domain `V`).
 
-use polysig_tagged::ValueType;
+use std::collections::HashMap;
 
-use crate::ast::{Binop, Component, Expr, Program, Statement, Unop};
+use polysig_tagged::{SigName, ValueType};
+
+use crate::ast::{Binop, Component, DeclIndex, Expr, Program, Role, Statement, Unop};
 use crate::error::LangError;
 
-/// Infers the type of an expression inside a component.
+/// Infers the type of an expression inside component `c`, whose
+/// declarations `index` holds.
 ///
 /// # Errors
 ///
 /// Returns a [`LangError::Type`] (attributed to `signal`, the equation's
 /// left-hand side) on any mismatch, or [`LangError::UndeclaredSignal`] for
 /// unknown names.
-pub fn infer_expr(
+fn infer_expr(
     c: &Component,
-    signal: &polysig_tagged::SigName,
+    index: &DeclIndex<'_>,
+    signal: &SigName,
     e: &Expr,
 ) -> Result<ValueType, LangError> {
     let type_err = |expected: ValueType, found: ValueType, context: &str| LangError::Type {
@@ -24,36 +28,37 @@ pub fn infer_expr(
         found,
         context: context.to_string(),
     };
+    let infer = |e: &Expr| infer_expr(c, index, signal, e);
     match e {
-        Expr::Var(x) => c.decl(x).map(|d| d.ty).ok_or_else(|| LangError::UndeclaredSignal {
+        Expr::Var(x) => index.get(x).map(|d| d.ty).ok_or_else(|| LangError::UndeclaredSignal {
             component: c.name.clone(),
             name: x.clone(),
         }),
         Expr::Const(v) => Ok(v.ty()),
         Expr::Pre { init, body } => {
-            let t = infer_expr(c, signal, body)?;
+            let t = infer(body)?;
             if init.ty() != t {
                 return Err(type_err(t, init.ty(), "initial value of pre"));
             }
             Ok(t)
         }
         Expr::When { body, cond } => {
-            let tc = infer_expr(c, signal, cond)?;
+            let tc = infer(cond)?;
             if tc != ValueType::Bool {
                 return Err(type_err(ValueType::Bool, tc, "condition of when"));
             }
-            infer_expr(c, signal, body)
+            infer(body)
         }
         Expr::Default { left, right } => {
-            let tl = infer_expr(c, signal, left)?;
-            let tr = infer_expr(c, signal, right)?;
+            let tl = infer(left)?;
+            let tr = infer(right)?;
             if tl != tr {
                 return Err(type_err(tl, tr, "right operand of default"));
             }
             Ok(tl)
         }
         Expr::Unary { op, arg } => {
-            let ta = infer_expr(c, signal, arg)?;
+            let ta = infer(arg)?;
             match op {
                 Unop::Not => {
                     if ta != ValueType::Bool {
@@ -71,8 +76,8 @@ pub fn infer_expr(
             }
         }
         Expr::Binary { op, left, right } => {
-            let tl = infer_expr(c, signal, left)?;
-            let tr = infer_expr(c, signal, right)?;
+            let tl = infer(left)?;
+            let tr = infer(right)?;
             if op.takes_ints() {
                 if tl != ValueType::Int {
                     return Err(type_err(ValueType::Int, tl, "left operand"));
@@ -96,22 +101,24 @@ pub fn infer_expr(
     }
 }
 
-/// Checks every equation of a component against its declarations.
+/// Checks every equation of a component against its declarations (a name
+/// declared twice has its first declaration's type).
 ///
 /// # Errors
 ///
 /// Returns the first type mismatch found.
 pub fn check_component(c: &Component) -> Result<(), LangError> {
+    let index = DeclIndex::new(c);
     for stmt in &c.stmts {
         if let Statement::Eq(eq) = stmt {
-            let declared = c
-                .decl(&eq.lhs)
+            let declared = index
+                .get(&eq.lhs)
                 .ok_or_else(|| LangError::UndeclaredSignal {
                     component: c.name.clone(),
                     name: eq.lhs.clone(),
                 })?
                 .ty;
-            let inferred = infer_expr(c, &eq.lhs, &eq.rhs)?;
+            let inferred = infer_expr(c, &index, &eq.lhs, &eq.rhs)?;
             if declared != inferred {
                 return Err(LangError::Type {
                     component: c.name.clone(),
@@ -134,29 +141,38 @@ pub fn check_component(c: &Component) -> Result<(), LangError> {
 ///
 /// Returns the first type mismatch found.
 pub fn check_program(p: &Program) -> Result<(), LangError> {
-    for c in &p.components {
+    check_components(&p.components)
+}
+
+/// [`check_program`] over components held anywhere, in program order.
+///
+/// # Errors
+///
+/// Returns the first type mismatch found.
+pub fn check_components<'a>(
+    components: impl IntoIterator<Item = &'a Component> + Clone,
+) -> Result<(), LangError> {
+    for c in components.clone() {
         check_component(c)?;
     }
     // interface types agree across components
-    let mut seen: std::collections::BTreeMap<polysig_tagged::SigName, (String, ValueType)> =
-        std::collections::BTreeMap::new();
-    for c in &p.components {
-        for d in &c.decls {
-            if d.role == crate::ast::Role::Local {
-                continue;
-            }
-            if let Some((other, ty)) = seen.get(&d.name) {
-                if *ty != d.ty {
+    let mut seen: HashMap<&str, (&str, ValueType)> = HashMap::new();
+    for c in components {
+        for d in c.decls.iter().filter(|d| d.role != Role::Local) {
+            match seen.get(d.name.as_str()) {
+                Some(&(other, ty)) if ty != d.ty => {
                     return Err(LangError::Type {
                         component: c.name.clone(),
                         signal: d.name.clone(),
-                        expected: *ty,
+                        expected: ty,
                         found: d.ty,
                         context: format!("interface mismatch with component `{other}`"),
                     });
                 }
-            } else {
-                seen.insert(d.name.clone(), (c.name.clone(), d.ty));
+                Some(_) => {}
+                None => {
+                    seen.insert(d.name.as_str(), (&c.name, d.ty));
+                }
             }
         }
     }
@@ -249,6 +265,29 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(check_program(&p), Err(LangError::Type { .. })));
+    }
+
+    #[test]
+    fn a_name_declared_twice_types_as_its_first_declaration() {
+        // check_program does not resolve first, so a duplicate declaration
+        // reaches it; the first declaration's type wins, on either side
+        let p =
+            parse_program("process P { input a: int; local a: bool; output x: int; x := a + 1; }")
+                .unwrap();
+        assert!(check_program(&p).is_ok());
+        let p =
+            parse_program("process P { input a: int; local a: bool; output x: bool; x := not a; }")
+                .unwrap();
+        match check_program(&p) {
+            Err(LangError::Type { expected, found, context, .. }) => {
+                assert_eq!((expected, found), (ValueType::Bool, ValueType::Int));
+                assert_eq!(context, "operand of not");
+            }
+            other => panic!("expected a type error, got {other:?}"),
+        }
+        let p = parse_program("process P { input a: int; output x: int; local x: bool; x := a; }")
+            .unwrap();
+        assert!(check_program(&p).is_ok());
     }
 
     #[test]

@@ -65,6 +65,24 @@ impl CExpr {
             CExpr::Unary { arg, .. } => arg.has_pre(),
         }
     }
+
+    /// Calls `f` on every signal whose *current-instant* value the
+    /// expression reads: every read outside a `pre`, left to right, repeats
+    /// included (a `pre` body is last instant's value, so it delays
+    /// nothing).
+    pub(crate) fn visit_instant_vars(&self, f: &mut impl FnMut(usize)) {
+        match self {
+            CExpr::Var(i) => f(*i),
+            CExpr::Const(_) | CExpr::Pre { .. } => {}
+            CExpr::When { body: left, cond: right }
+            | CExpr::Default { left, right }
+            | CExpr::Binary { left, right, .. } => {
+                left.visit_instant_vars(f);
+                right.visit_instant_vars(f);
+            }
+            CExpr::Unary { arg, .. } => arg.visit_instant_vars(f),
+        }
+    }
 }
 
 /// Compiles an AST expression, resolving names through `index_of` and

@@ -16,12 +16,12 @@
 //!   it converts a `BTreeMap<SigName, Value>` through the interner, runs
 //!   [`Reactor::react_dense`], and renders the result back to names.
 
-use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
+use polysig_lang::ast::Declaration;
 use polysig_lang::clock::analyze_component;
-use polysig_lang::{Binop, Component, Program, Statement, Unop};
+use polysig_lang::{Binop, Component, Program, Role, Unop};
 use polysig_tagged::{Interner, SigId, SigName, Value, ValueType};
 
 use crate::compile::{lower, LowerFailure, LowerInput};
@@ -137,7 +137,7 @@ impl Reactor {
     ///
     /// Returns resolution or type errors from the language passes.
     pub fn for_component(c: &Component) -> Result<Reactor, SimError> {
-        Reactor::for_program(&Program::single(c.clone()))
+        Reactor::for_components(&[c])
     }
 
     /// Elaborates a program (all components merged into one synchronous
@@ -150,7 +150,18 @@ impl Reactor {
     ///
     /// Returns resolution or type errors from the language passes.
     pub fn for_program(p: &Program) -> Result<Reactor, SimError> {
-        Reactor::build(p, true, true)
+        Reactor::for_components(&p.components.iter().collect::<Vec<_>>())
+    }
+
+    /// [`Reactor::for_program`] over a program's components held anywhere,
+    /// in program order, so that a caller who keeps them elsewhere (the
+    /// estimation loop's cache) need not clone them into a [`Program`].
+    ///
+    /// # Errors
+    ///
+    /// Returns resolution or type errors from the language passes.
+    pub fn for_components(components: &[&Component]) -> Result<Reactor, SimError> {
+        Reactor::build(components, true, true)
     }
 
     /// Like [`Reactor::for_program`] but always interprets, even when a
@@ -161,7 +172,7 @@ impl Reactor {
     ///
     /// Returns resolution or type errors from the language passes.
     pub fn for_program_interpreted(p: &Program) -> Result<Reactor, SimError> {
-        Reactor::build(p, true, false)
+        Reactor::build(&p.components.iter().collect::<Vec<_>>(), true, false)
     }
 
     /// Like [`Reactor::for_program`] but *without* the static equation
@@ -170,58 +181,71 @@ impl Reactor {
     /// `sim_scheduling` ablation; behavior is identical. Never compiled
     /// (the lowering requires the schedule).
     pub fn for_program_unscheduled(p: &Program) -> Result<Reactor, SimError> {
-        Reactor::build(p, false, false)
+        Reactor::build(&p.components.iter().collect::<Vec<_>>(), false, false)
     }
 
-    fn build(p: &Program, schedule: bool, try_lower: bool) -> Result<Reactor, SimError> {
-        let disambiguated = disambiguate_locals(p);
-        let p: &Program = &disambiguated;
-        polysig_lang::resolve::resolve_program(p)?;
-        polysig_lang::types::check_program(p)?;
+    fn build(
+        components: &[&Component],
+        schedule: bool,
+        try_lower: bool,
+    ) -> Result<Reactor, SimError> {
+        let renamed = disambiguate_locals(components);
+        let renamed_refs: Vec<&Component> = renamed.iter().flatten().collect();
+        let components = if renamed.is_some() { &renamed_refs } else { components };
+        polysig_lang::resolve::resolve_components(components.iter().copied())?;
+        polysig_lang::types::check_components(components.iter().copied())?;
 
         // intern all declared names; ids are dense indices in declaration
-        // order, so a SigId doubles as a slot-vector index everywhere below
-        let mut interner = Interner::new();
-        let mut types: Vec<ValueType> = Vec::new();
-        for c in &p.components {
+        // order, so a SigId doubles as a slot-vector index everywhere below.
+        // `decl_ids[k][i]` is the id of component k's i-th declaration, and
+        // an external input is an input of some component that no
+        // component outputs
+        let decls = components.iter().map(|c| c.decls.len()).sum();
+        let mut interner = Interner::with_capacity(decls);
+        let mut types: Vec<ValueType> = Vec::with_capacity(decls);
+        let mut is_input: Vec<bool> = Vec::with_capacity(decls);
+        let mut is_output: Vec<bool> = Vec::with_capacity(decls);
+        let mut decl_ids: Vec<Vec<usize>> = Vec::with_capacity(components.len());
+        for c in components {
+            let mut ids = Vec::with_capacity(c.decls.len());
             for d in &c.decls {
-                let before = interner.len();
-                let id = interner.intern(&d.name);
-                if id.index() == before {
+                let id = interner.intern(&d.name).index();
+                if id == types.len() {
                     types.push(d.ty);
+                    is_input.push(false);
+                    is_output.push(false);
                 }
+                match d.role {
+                    Role::Input => is_input[id] = true,
+                    Role::Output => is_output[id] = true,
+                    Role::Local => {}
+                }
+                ids.push(id);
             }
+            decl_ids.push(ids);
         }
-
-        let mut input_ids: Vec<SigId> = p
-            .external_inputs()
-            .iter()
-            .map(|n| interner.lookup(n).expect("external input is declared"))
-            .collect();
-        input_ids.sort_unstable();
-        input_ids.dedup();
-        let mut is_input = vec![false; interner.len()];
-        for &id in &input_ids {
-            is_input[id.index()] = true;
+        let n = interner.len();
+        for (input, &output) in is_input.iter_mut().zip(&is_output) {
+            *input &= !output;
         }
+        let input_ids: Vec<SigId> =
+            (0..n).filter(|&i| is_input[i]).map(|i| SigId(i as u32)).collect();
 
         let idx = |n: &SigName| interner.lookup(n).expect("resolved name is declared").index();
 
         // compile equations, allocating registers
         let mut registers: Vec<Value> = Vec::new();
         let mut equations: Vec<(usize, CExpr)> = Vec::new();
-        for c in &p.components {
-            for stmt in &c.stmts {
-                if let Statement::Eq(eq) = stmt {
-                    let rhs = compile(&eq.rhs, &|n| idx(n), &mut registers);
-                    equations.push((idx(&eq.lhs), rhs));
-                }
+        for c in components {
+            for eq in c.equations() {
+                let rhs = compile(&eq.rhs, &idx, &mut registers);
+                equations.push((idx(&eq.lhs), rhs));
             }
         }
 
         // clock groups: union-find over indices, seeded by each component's
         // clock analysis (which already folds in sync constraints)
-        let mut parent: Vec<usize> = (0..interner.len()).collect();
+        let mut parent: Vec<usize> = (0..n).collect();
         fn find(parent: &mut Vec<usize>, i: usize) -> usize {
             if parent[i] != i {
                 let r = find(parent, parent[i]);
@@ -236,33 +260,32 @@ impl Reactor {
                 parent[ra] = rb;
             }
         };
-        let mut sig_subset: BTreeSet<(usize, usize)> = BTreeSet::new();
-        for c in &p.components {
+        let mut sig_subset: Vec<(usize, usize)> = Vec::new();
+        for (c, ids) in components.iter().zip(&decl_ids) {
             let analysis = analyze_component(c);
-            for class in &analysis.classes {
-                for w in class.members.windows(2) {
-                    union(&mut parent, idx(&w[0]), idx(&w[1]));
+            // each class's first declaration stands for the class
+            let mut first = vec![usize::MAX; analysis.classes.len()];
+            for (&id, &class) in ids.iter().zip(analysis.decl_classes()) {
+                if first[class] == usize::MAX {
+                    first[class] = id;
+                } else {
+                    union(&mut parent, first[class], id);
                 }
             }
-            for (sub, sup) in analysis.edges() {
-                let sm = &analysis.classes[sub].members;
-                let pm = &analysis.classes[sup].members;
-                if let (Some(a), Some(b)) = (sm.first(), pm.first()) {
-                    sig_subset.insert((idx(a), idx(b)));
-                }
-            }
+            sig_subset.extend(analysis.edges().map(|(sub, sup)| (first[sub], first[sup])));
         }
 
-        // groups from union-find roots
-        let mut root_to_group: BTreeMap<usize, usize> = BTreeMap::new();
+        // groups from union-find roots, numbered in order of first member
+        let mut group_of_root = vec![usize::MAX; n];
         let mut groups: Vec<Vec<usize>> = Vec::new();
-        let mut group_of = vec![0usize; interner.len()];
+        let mut group_of = vec![0usize; n];
         for (i, slot) in group_of.iter_mut().enumerate() {
             let r = find(&mut parent, i);
-            let g = *root_to_group.entry(r).or_insert_with(|| {
+            if group_of_root[r] == usize::MAX {
+                group_of_root[r] = groups.len();
                 groups.push(Vec::new());
-                groups.len() - 1
-            });
+            }
+            let g = group_of_root[r];
             groups[g].push(i);
             *slot = g;
         }
@@ -282,7 +305,7 @@ impl Reactor {
         // single fixpoint pass (the classic Signal compilation step; the
         // `sim_scheduling` ablation bench measures the win)
         let (equations, acyclic) =
-            if schedule { schedule_equations(equations, p, &interner) } else { (equations, false) };
+            if schedule { schedule_equations(equations, n) } else { (equations, false) };
         let eq_has_pre: Vec<bool> = equations.iter().map(|(_, rhs)| rhs.has_pre()).collect();
 
         // lower a static schedule when the clock analysis plus the acyclic
@@ -294,7 +317,7 @@ impl Reactor {
             ExecPlan::Interpreted(Some(LowerFailure::CyclicSchedule))
         } else {
             match lower(&LowerInput {
-                signal_count: interner.len(),
+                signal_count: n,
                 names: interner.names(),
                 is_input: &is_input,
                 types: &types,
@@ -307,7 +330,6 @@ impl Reactor {
             }
         };
 
-        let n = interner.len();
         Ok(Reactor {
             interner,
             types,
@@ -953,50 +975,44 @@ impl Reactor {
 /// single components but a merged program could theoretically exhibit via
 /// clock feedback) keep their original order — the fixpoint still handles
 /// them, just in more passes.
-fn schedule_equations(
-    equations: Vec<(usize, CExpr)>,
-    p: &Program,
-    interner: &Interner,
-) -> (Vec<(usize, CExpr)>, bool) {
-    use std::collections::BTreeSet;
-    let n = interner.len();
-    let idx = |n: &SigName| interner.lookup(n).expect("resolved name is declared").index();
-    // instantaneous deps per defined index, as dense adjacency over SigIds
+fn schedule_equations(equations: Vec<(usize, CExpr)>, n: usize) -> (Vec<(usize, CExpr)>, bool) {
     let mut is_defined = vec![false; n];
     for (lhs, _) in &equations {
         is_defined[*lhs] = true;
     }
-    let mut deps: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut vars = BTreeSet::new();
-    for c in &p.components {
-        for eq in c.equations() {
-            vars.clear();
-            eq.rhs.collect_instant_vars(&mut vars);
-            let lhs = idx(&eq.lhs);
-            // only deps on *defined* signals can delay an equation; inputs
-            // are always decided before the first sweep
-            deps[lhs].extend(vars.iter().map(&idx).filter(|&d| is_defined[d]));
-        }
+    // instantaneous dependency edges `(dep, dependent)`, sorted so that
+    // each dep's dependents form one run in ascending id order; only deps
+    // on *defined* signals can delay an equation (inputs are always
+    // decided before the first sweep). A signal read twice is an edge
+    // twice: the copies sit side by side in its run, so the dependent
+    // reaches indegree 0 exactly when it would with one edge
+    let mut edges: Vec<(usize, usize)> = Vec::new();
+    for (lhs, rhs) in &equations {
+        rhs.visit_instant_vars(&mut |d| {
+            if is_defined[d] {
+                edges.push((d, *lhs));
+            }
+        });
+    }
+    edges.sort_unstable();
+    let mut indegree = vec![0usize; n];
+    let mut run_start = vec![0usize; n + 1];
+    for &(d, lhs) in &edges {
+        indegree[lhs] += 1;
+        run_start[d + 1] += 1;
+    }
+    for i in 0..n {
+        run_start[i + 1] += run_start[i];
     }
     // Kahn's algorithm over the defined signals only, queue-based: O(V + E)
-    let mut indegree = vec![0usize; n];
-    let mut rdeps: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (lhs, ds) in deps.iter().enumerate() {
-        for &d in ds {
-            indegree[lhs] += 1;
-            rdeps[d].push(lhs);
-        }
-    }
     let mut queue: Vec<usize> = (0..n).filter(|&i| is_defined[i] && indegree[i] == 0).collect();
     let mut rank = vec![usize::MAX; n];
-    let mut next_rank = 0usize;
     let mut head = 0;
     while head < queue.len() {
         let i = queue[head];
+        rank[i] = head;
         head += 1;
-        rank[i] = next_rank;
-        next_rank += 1;
-        for &r in &rdeps[i] {
+        for &(_, r) in &edges[run_start[i]..run_start[i + 1]] {
             indegree[r] -= 1;
             if indegree[r] == 0 {
                 queue.push(r);
@@ -1016,46 +1032,35 @@ fn schedule_equations(
 /// Renames component locals whose names collide with declarations in other
 /// components to `<component>.<name>`: in the merged reaction system, two
 /// components' private state must never alias (shared inputs/outputs keep
-/// their names — that sharing is the wiring).
-fn disambiguate_locals(p: &Program) -> Cow<'_, Program> {
-    use std::collections::btree_map::Entry;
-    let mut owners: BTreeMap<SigName, usize> = BTreeMap::new();
-    for c in &p.components {
+/// their names — that sharing is the wiring). `None` when nothing collides
+/// (the common case — and every program the estimation loop compiles), so
+/// the components are used as they are, without cloning.
+fn disambiguate_locals(components: &[&Component]) -> Option<Vec<Component>> {
+    let decls = components.iter().map(|c| c.decls.len()).sum();
+    let mut owners: HashMap<&str, usize> = HashMap::with_capacity(decls);
+    for c in components {
         for d in &c.decls {
-            match owners.entry(d.name.clone()) {
-                Entry::Vacant(e) => {
-                    e.insert(1);
-                }
-                Entry::Occupied(mut e) => *e.get_mut() += 1,
+            *owners.entry(d.name.as_str()).or_default() += 1;
+        }
+    }
+    let collides = |d: &Declaration| d.role == Role::Local && owners[d.name.as_str()] > 1;
+    if !components.iter().any(|c| c.decls.iter().any(collides)) {
+        return None;
+    }
+    let renamed = components
+        .iter()
+        .map(|&c| {
+            let locals: Vec<&SigName> =
+                c.decls.iter().filter(|d| collides(d)).map(|d| &d.name).collect();
+            let mut renamed = c.clone();
+            for l in locals {
+                let fresh = SigName::from(format!("{}.{}", c.name, l));
+                renamed = renamed.rename_signal(l, &fresh);
             }
-        }
-    }
-    // collision-free programs (the common case — and every program the
-    // estimation loop compiles) are passed through without cloning
-    let clashes = |c: &polysig_lang::Component| {
-        c.decls.iter().any(|d| {
-            d.role == polysig_lang::Role::Local && owners.get(&d.name).copied().unwrap_or(0) > 1
+            renamed
         })
-    };
-    if !p.components.iter().any(clashes) {
-        return Cow::Borrowed(p);
-    }
-    let mut out = p.clone();
-    for c in &mut out.components {
-        let colliding: Vec<SigName> = c
-            .decls
-            .iter()
-            .filter(|d| {
-                d.role == polysig_lang::Role::Local && owners.get(&d.name).copied().unwrap_or(0) > 1
-            })
-            .map(|d| d.name.clone())
-            .collect();
-        for l in colliding {
-            let fresh = SigName::from(format!("{}.{}", c.name, l));
-            *c = c.rename_signal(&l, &fresh);
-        }
-    }
-    Cow::Owned(out)
+        .collect();
+    Some(renamed)
 }
 
 fn join_status(

@@ -59,18 +59,26 @@ impl Interner {
         Interner::default()
     }
 
-    /// Interns a name, returning its existing id when already known.
+    /// An empty interner with room for `n` names.
+    pub fn with_capacity(n: usize) -> Self {
+        Interner {
+            names: Vec::with_capacity(n),
+            ids: FxHashMap::with_capacity_and_hasher(n, Default::default()),
+        }
+    }
+
+    /// Interns a name, returning its existing id when already known. A new
+    /// [`SigName`] shares the caller's string; a `&str` is copied once.
     ///
     /// # Panics
     ///
     /// Panics on the (absurd) 2^32nd distinct name.
-    pub fn intern(&mut self, name: impl AsRef<str>) -> SigId {
-        let name = name.as_ref();
-        if let Some(&id) = self.ids.get(name) {
+    pub fn intern(&mut self, name: impl AsRef<str> + Into<SigName>) -> SigId {
+        if let Some(&id) = self.ids.get(name.as_ref()) {
             return id;
         }
         let id = SigId(u32::try_from(self.names.len()).expect("interner overflow"));
-        let name = SigName::from(name);
+        let name = name.into();
         self.names.push(name.clone());
         self.ids.insert(name, id);
         id
@@ -128,6 +136,15 @@ mod tests {
         assert_eq!(i.intern("a"), a);
         assert_eq!(i.len(), 2);
         assert_eq!(i.names(), &[SigName::from("a"), SigName::from("b")]);
+    }
+
+    #[test]
+    fn interning_a_sig_name_shares_its_string() {
+        let mut i = Interner::with_capacity(1);
+        let name = SigName::from("shared");
+        let id = i.intern(&name);
+        assert_eq!(i.name(id).as_str().as_ptr(), name.as_str().as_ptr());
+        assert_eq!(i.intern("shared"), id);
     }
 
     #[test]

@@ -140,6 +140,12 @@ impl From<&str> for SigName {
     }
 }
 
+impl From<&SigName> for SigName {
+    fn from(s: &SigName) -> Self {
+        s.clone()
+    }
+}
+
 impl From<String> for SigName {
     fn from(s: String) -> Self {
         SigName(Arc::from(s))

@@ -1,14 +1,14 @@
 //! Concrete validation of symbolic counterexamples.
 //!
 //! A SAT model is only trusted after it replays: the decoded letter
-//! sequence is run on a plain [`Reactor`] (the same execution path the
-//! explicit checker uses), every reaction must succeed, every intermediate
+//! sequence is run on the [`Reactor`] the unrolling was transcribed from
+//! (the same execution path the explicit checker uses), every reaction must
+//! succeed, every intermediate
 //! reaction must satisfy the property, and the final reaction must violate
 //! it. Any disagreement is a [`VerifyError::BmcInternal`] — an unreplayable
 //! model means the encoding and the executor diverged, and reporting the
 //! trace anyway would be unsound.
 
-use polysig_lang::Program;
 use polysig_sim::{DenseEnv, Reactor};
 
 use crate::alphabet::{Alphabet, Letter};
@@ -20,18 +20,18 @@ fn internal(reason: impl Into<String>) -> VerifyError {
     VerifyError::BmcInternal { reason: reason.into() }
 }
 
-/// Replays the letter-index sequence `seq` concretely and returns it as a
-/// [`Counterexample`], or a [`VerifyError::BmcInternal`] when the symbolic
-/// trace does not reproduce on the reactor.
+/// Replays the letter-index sequence `seq` concretely on `reactor`, which
+/// must be in its initial state, and returns it as a [`Counterexample`], or
+/// a [`VerifyError::BmcInternal`] when the symbolic trace does not
+/// reproduce on the reactor.
 pub(crate) fn replay(
-    program: &Program,
+    reactor: &mut Reactor,
     alphabet: &Alphabet,
     seq: &[usize],
     property: &Property,
 ) -> Result<Counterexample, VerifyError> {
-    let mut reactor = Reactor::for_program(program)?;
     let names = reactor.signal_names().to_vec();
-    let check = property.bind(&reactor);
+    let check = property.bind(reactor);
     let n = reactor.signal_count();
 
     let letters: Vec<Letter> = seq.iter().map(|&li| alphabet.letters()[li].clone()).collect();

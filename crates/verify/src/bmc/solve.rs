@@ -308,9 +308,8 @@ pub(crate) fn run_check(
     if alphabet.is_empty() {
         return Err(VerifyError::EmptyAlphabet);
     }
-    let (mut un, reactor) = Unroller::new(program, alphabet, options.env.as_ref())?;
+    let (mut un, mut reactor) = Unroller::new(program, alphabet, options.env.as_ref())?;
     let spec = prop_spec(property, &reactor)?;
-    drop(reactor);
 
     for _ in 0..depth {
         let outputs = un.push_step()?;
@@ -318,7 +317,8 @@ pub(crate) fn run_check(
         let vlit = un.cnf.lit(viol);
         if un.cnf.solver.solve_assuming(&[vlit]) {
             let seq = un.lex_minimize(vlit)?;
-            let cx = decode::replay(program, alphabet, &seq, property)?;
+            reactor.reset();
+            let cx = decode::replay(&mut reactor, alphabet, &seq, property)?;
             return Ok(CheckResult {
                 holds: false,
                 counterexample: Some(cx),
