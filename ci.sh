@@ -12,6 +12,9 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc: every intra-doc link resolves and points at public items"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 echo "==> cargo check perfbench (a workspace of its own, so the steps above never build it)"
 cargo check --locked --offline --manifest-path perfbench/Cargo.toml
 

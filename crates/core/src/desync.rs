@@ -330,11 +330,6 @@ impl DesyncCache {
         self.channels.iter().map(|c| &c.spec.signal)
     }
 
-    /// Number of channels the transformation will cut.
-    pub fn channel_count(&self) -> usize {
-        self.channels.len()
-    }
-
     /// The desynchronized program's components for one size map (channels
     /// not in `sizes` use `default_size`), borrowed from the cache in
     /// program order: the skeleton, then each channel's FIFO and, when

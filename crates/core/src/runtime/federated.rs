@@ -95,44 +95,12 @@ impl FederateSpec {
     }
 }
 
-/// Where a channel's credit capacity came from — recorded per channel on
-/// the run so a stall or watchdog report can say *whose* number was wrong
-/// (the static analyzer's PA009 lint consumes the same distinction).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum CapacityProvenance {
-    /// No entry for the channel: [`FederatedOptions::default_capacity`].
-    Default,
-    /// Hand-configured via [`FederatedOptions::with_capacity`].
-    Explicit,
-    /// Sized from a dynamic estimation report
-    /// ([`FederatedOptions::from_report`]).
-    Estimated,
-    /// Sized from statically proven bounds
-    /// ([`FederatedOptions::with_proven_capacities`], fed from
-    /// `StaticBounds::minimal_safe_capacities`).
-    Proven,
-}
-
-impl CapacityProvenance {
-    /// The lowercase name used in reports.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            CapacityProvenance::Default => "default",
-            CapacityProvenance::Explicit => "explicit",
-            CapacityProvenance::Estimated => "estimated",
-            CapacityProvenance::Proven => "proven",
-        }
-    }
-}
-
 /// Options of a federated run.
 #[derive(Debug, Clone)]
 pub struct FederatedOptions {
     /// Per-channel capacities (the credit pools). Channels not named here
     /// use [`FederatedOptions::default_capacity`].
     pub capacities: BTreeMap<SigName, usize>,
-    /// Where the entries in [`FederatedOptions::capacities`] came from.
-    pub capacity_provenance: CapacityProvenance,
     /// Capacity for channels without an explicit entry (min 1).
     pub default_capacity: usize,
     /// Record per-signal flows (off in soak mode: the streaming counters
@@ -155,7 +123,6 @@ impl Default for FederatedOptions {
     fn default() -> FederatedOptions {
         FederatedOptions {
             capacities: BTreeMap::new(),
-            capacity_provenance: CapacityProvenance::Default,
             default_capacity: 1,
             record_flows: true,
             sample_every: None,
@@ -174,7 +141,6 @@ impl FederatedOptions {
                 .iter()
                 .map(|(name, size)| (name.clone(), (*size).max(1)))
                 .collect(),
-            capacity_provenance: CapacityProvenance::Estimated,
             ..FederatedOptions::default()
         }
     }
@@ -182,7 +148,6 @@ impl FederatedOptions {
     /// Sets one channel's capacity.
     pub fn with_capacity(mut self, signal: impl Into<SigName>, capacity: usize) -> Self {
         self.capacities.insert(signal.into(), capacity.max(1));
-        self.capacity_provenance = CapacityProvenance::Explicit;
         self
     }
 
@@ -191,7 +156,6 @@ impl FederatedOptions {
     /// from the map fall back to [`FederatedOptions::default_capacity`].
     pub fn with_proven_capacities(mut self, capacities: BTreeMap<SigName, usize>) -> Self {
         self.capacities = capacities.into_iter().map(|(s, c)| (s, c.max(1))).collect();
-        self.capacity_provenance = CapacityProvenance::Proven;
         self
     }
 
@@ -227,10 +191,8 @@ pub struct FederateStats {
     /// Reactions performed (≤ the activation budget; less when the federate
     /// retired early or was interrupted).
     pub reactions: usize,
-    /// `true` when the federate ran its compiled [`ExecPlan`] rather than
-    /// the interpreter.
-    ///
-    /// [`ExecPlan`]: polysig_sim::ExecPlan
+    /// `true` when the federate ran its compiled static schedule rather
+    /// than the interpreter.
     pub compiled: bool,
 }
 
@@ -266,9 +228,6 @@ pub struct FederatedRun {
     /// Exact post-join counters per channel: pushes, pops, stall events,
     /// stalled wall-clock time, max occupancy.
     pub channels: BTreeMap<SigName, ChannelCounters>,
-    /// The capacity each channel actually ran with, and where that number
-    /// came from.
-    pub capacities: BTreeMap<SigName, (usize, CapacityProvenance)>,
     /// Per-federate statistics.
     pub federates: BTreeMap<String, FederateStats>,
     /// Occupancy samples streamed during the run (empty unless
@@ -346,13 +305,9 @@ pub fn run_federated(
     let mut senders: BTreeMap<SigName, FedSender> = BTreeMap::new();
     let mut receivers: BTreeMap<SigName, FedReceiver> = BTreeMap::new();
     let mut monitors: Vec<(SigName, ChannelMonitor)> = Vec::with_capacity(chans.len());
-    let mut capacities: BTreeMap<SigName, (usize, CapacityProvenance)> = BTreeMap::new();
     for c in &chans {
-        let (capacity, provenance) = match options.capacities.get(&c.signal) {
-            Some(&cap) => (cap.max(1), options.capacity_provenance),
-            None => (options.default_capacity.max(1), CapacityProvenance::Default),
-        };
-        capacities.insert(c.signal.clone(), (capacity, provenance));
+        let capacity =
+            options.capacities.get(&c.signal).copied().unwrap_or(options.default_capacity).max(1);
         let (tx, rx) = fed_channel(capacity);
         monitors.push((c.signal.clone(), tx.monitor()));
         senders.insert(c.signal.clone(), tx);
@@ -473,14 +428,7 @@ pub fn run_federated(
 
     let (results, teardown) = rti.join_all();
     let elapsed = started.elapsed();
-    let mut run = FederatedRun {
-        samples,
-        capacities,
-        watchdog,
-        teardown,
-        elapsed,
-        ..FederatedRun::default()
-    };
+    let mut run = FederatedRun { samples, watchdog, teardown, elapsed, ..FederatedRun::default() };
     for (name, m) in monitors {
         run.channels.insert(name, m.snapshot());
     }

@@ -3,7 +3,7 @@
 //! The crate generates well-clocked Signal programs by construction (see
 //! [`program`]), checks each sample against a library of differential
 //! oracles (see [`oracle`]), and minimizes any failure with a
-//! delta-debugging shrinker (see [`shrink`]). Shrunk failures are rendered
+//! delta-debugging shrinker (see [`shrink`](mod@shrink)). Shrunk failures are rendered
 //! in a replayable on-disk format (see [`corpus`]) so fixed bugs stay fixed.
 //!
 //! Two entry points:

@@ -24,7 +24,7 @@ use polysig_verify::alphabet::Letter;
 use polysig_verify::equiv::FlowRelation;
 use polysig_verify::reach::CheckResult;
 use polysig_verify::{
-    check, compare_flows_with, Alphabet, Backend, CheckOptions, EnvAutomaton, Property, VerifyError,
+    check, compare_flows, Alphabet, Backend, CheckOptions, EnvAutomaton, Property, VerifyError,
 };
 
 use crate::config::Shape;
@@ -50,8 +50,8 @@ pub enum OracleKind {
     /// and resuming either plan from a mid-run checkpoint must replay the
     /// tail bit-identically.
     CompiledEquiv,
-    /// Explicit-state checking and flow comparison must return identical
-    /// results at 1, 2, 4 and 8 worker threads.
+    /// Explicit-state checking must return identical results at 1, 2, 4
+    /// and 8 worker threads.
     ThreadInvariance,
     /// The symbolic bounded model checker and the explicit breadth-first
     /// checker must agree: explicit-safe within the scenario horizon ⇒ the
@@ -437,7 +437,7 @@ fn thread_invariance(case: &GenCase) -> Result<(), Failure> {
         return Ok(());
     }
 
-    // (a) explicit-state checking under the scenario cycled as an
+    // explicit-state checking under the scenario cycled as an
     // environment automaton must be identical at every thread count
     if let Some(property) = invariance_property(&case.program) {
         let mut letters: Vec<Letter> = Vec::new();
@@ -496,57 +496,6 @@ fn thread_invariance(case: &GenCase) -> Result<(), Failure> {
                         ));
                     }
                 }
-            }
-        }
-    }
-
-    // (b) flow comparison of the program against itself must be identical
-    // (and trivially all-matching) at every thread count
-    let map: Vec<(SigName, SigName)> = case
-        .program
-        .components
-        .iter()
-        .flat_map(|c| c.decls.iter())
-        .filter(|d| d.role == Role::Output)
-        .map(|d| (d.name.clone(), d.name.clone()))
-        .collect();
-    let pairs = vec![(case.scenario.clone(), case.scenario.clone())];
-    let reference =
-        compare_flows_with(&case.program, &case.program, &pairs, &map, FlowRelation::Equal, 1);
-    for threads in [2usize, 4, 8] {
-        let got = compare_flows_with(
-            &case.program,
-            &case.program,
-            &pairs,
-            &map,
-            FlowRelation::Equal,
-            threads,
-        );
-        match (&reference, got) {
-            (Ok(a), Ok(b)) => {
-                if *a != b {
-                    return Err(Failure::new(
-                        k,
-                        format!("compare_flows_with report differs at {threads} threads"),
-                    ));
-                }
-                if !b.all_match() {
-                    return Err(Failure::new(k, "program does not flow-match itself".to_string()));
-                }
-            }
-            (Err(a), Err(b)) => {
-                if a.to_string() != b.to_string() {
-                    return Err(Failure::new(
-                        k,
-                        format!("compare_flows_with errors diverge at {threads} threads"),
-                    ));
-                }
-            }
-            _ => {
-                return Err(Failure::new(
-                    k,
-                    format!("compare_flows_with Ok/Err split at {threads} threads"),
-                ));
             }
         }
     }
@@ -825,48 +774,19 @@ fn desync_flow(case: &GenCase) -> Result<(), Failure> {
     }
 
     let pairs = vec![(left_scn, est.clone())];
-    let mut reference = None;
-    for threads in [1usize, 2, 4] {
-        match compare_flows_with(
-            &case.program,
-            &d.program,
-            &pairs,
-            &map,
-            FlowRelation::PrefixOfLeft,
-            threads,
-        ) {
-            Ok(r) => {
-                if let Some(m) = r.mismatches.first() {
-                    return Err(Failure::new(
-                        k,
-                        format!(
-                            "GALS flow is not a prefix of the synchronous flow for \
-                             ({} -> {}): sync {:?}, gals {:?}",
-                            m.left_signal, m.right_signal, m.left_flow, m.right_flow
-                        ),
-                    ));
-                }
-                match &reference {
-                    None => reference = Some(r),
-                    Some(r0) => {
-                        if *r0 != r {
-                            return Err(Failure::new(
-                                k,
-                                format!("comparison report differs at {threads} threads"),
-                            ));
-                        }
-                    }
-                }
-            }
-            Err(e) => {
-                return Err(Failure::new(
-                    k,
-                    format!("GALS model failed to simulate at {threads} threads: {e}"),
-                ));
-            }
-        }
+    let report = compare_flows(&case.program, &d.program, &pairs, &map, FlowRelation::PrefixOfLeft)
+        .map_err(|e| Failure::new(k, format!("GALS model failed to simulate: {e}")))?;
+    match report.mismatches.first() {
+        Some(m) => Err(Failure::new(
+            k,
+            format!(
+                "GALS flow is not a prefix of the synchronous flow for \
+                 ({} -> {}): sync {:?}, gals {:?}",
+                m.left_signal, m.right_signal, m.left_flow, m.right_flow
+            ),
+        )),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 /// The runtime half of Theorems 1–2: deploy the pipeline as compiled

@@ -430,11 +430,6 @@ impl Reactor {
         &self.input_ids
     }
 
-    /// The program's external input names.
-    pub fn input_names(&self) -> Vec<SigName> {
-        self.input_ids.iter().map(|&id| self.interner.name(id).clone()).collect()
-    }
-
     /// All signal names, in id order.
     pub fn signal_names(&self) -> &[SigName] {
         self.interner.names()

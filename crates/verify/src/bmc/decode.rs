@@ -14,24 +14,23 @@ use polysig_sim::{DenseEnv, Reactor};
 use crate::alphabet::{Alphabet, Letter};
 use crate::counterexample::Counterexample;
 use crate::error::VerifyError;
-use crate::prop::Property;
+use crate::prop::DenseCheck;
 
 fn internal(reason: impl Into<String>) -> VerifyError {
     VerifyError::BmcInternal { reason: reason.into() }
 }
 
 /// Replays the letter-index sequence `seq` concretely on `reactor`, which
-/// must be in its initial state, and returns it as a [`Counterexample`], or
-/// a [`VerifyError::BmcInternal`] when the symbolic trace does not
-/// reproduce on the reactor.
+/// must be in its initial state, against the property `check` bound to that
+/// reactor, and returns it as a [`Counterexample`], or a
+/// [`VerifyError::BmcInternal`] when the symbolic trace does not reproduce
+/// on the reactor.
 pub(crate) fn replay(
     reactor: &mut Reactor,
     alphabet: &Alphabet,
     seq: &[usize],
-    property: &Property,
+    check: DenseCheck<'_>,
 ) -> Result<Counterexample, VerifyError> {
-    let names = reactor.signal_names().to_vec();
-    let check = property.bind(reactor);
     let n = reactor.signal_count();
 
     let letters: Vec<Letter> = seq.iter().map(|&li| alphabet.letters()[li].clone()).collect();
@@ -46,7 +45,7 @@ pub(crate) fn replay(
         let reaction = reactor
             .react_dense(&env)
             .map_err(|e| internal(format!("symbolic trace does not replay at step {pos}: {e}")))?;
-        let violated = !check.holds_dense(reaction, &names);
+        let violated = !check.holds_dense(reaction);
         let last = pos + 1 == letters.len();
         if violated != last {
             return Err(internal(format!(

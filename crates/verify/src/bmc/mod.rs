@@ -30,10 +30,12 @@
 //!   symbolic backend may still return a verdict that only covers
 //!   non-erroring paths.
 //!
-//! Programs outside the encodable fragment (no static schedule, custom
-//! property closures, a few exotic `when`/`default` operand shapes) are
-//! rejected with [`crate::VerifyError::BmcUnsupported`] rather than
-//! answered wrongly.
+//! Programs outside the encodable fragment (no static schedule, a letter
+//! that drives a non-input or carries an ill-typed value, a few exotic
+//! `when`/`default` operand shapes) are rejected with
+//! [`crate::VerifyError::BmcUnsupported`] rather than answered wrongly.
+//! Every [`crate::Property`] is encodable: each of its three shapes
+//! becomes one violation bit per step.
 
 mod cnf;
 mod decode;
@@ -67,7 +69,6 @@ mod tests {
     use crate::alphabet::{Alphabet, EnvAutomaton, Letter};
     use crate::prop::Property;
     use crate::reach::{check, CheckOptions};
-    use crate::VerifyError;
     use polysig_gals::nfifo::nfifo_component;
     use polysig_lang::parse_program;
     use polysig_tagged::Value;
@@ -156,15 +157,6 @@ mod tests {
     }
 
     #[test]
-    fn custom_property_is_rejected_not_misanswered() {
-        let p = parse_program("process P { input a: bool; output x: bool; x := a; }").unwrap();
-        let alphabet = Alphabet::exhaustive(&p, &[]).unwrap();
-        let prop = Property::new("custom", |_r| true);
-        let err = check(&p, &alphabet, &prop, &bmc(3)).unwrap_err();
-        assert!(matches!(err, VerifyError::BmcUnsupported { .. }));
-    }
-
-    #[test]
     fn undeclared_property_signal_holds_trivially() {
         let p = parse_program("process P { input a: bool; output x: bool; x := a; }").unwrap();
         let alphabet = Alphabet::exhaustive(&p, &[]).unwrap();
@@ -190,7 +182,7 @@ mod tests {
         let r = check(&p, &alphabet, &Property::never_present("y"), &opts).unwrap();
         assert!(!r.holds, "y ticks with value 6 at the first reaction");
         assert_eq!(r.counterexample.unwrap().len(), 1);
-        let b = crate::bound::max_signal_value_opts(&p, &alphabet, &"y".into(), &opts).unwrap();
+        let b = crate::bound::max_signal_value(&p, &alphabet, &"y".into(), &opts).unwrap();
         assert_eq!(b.max, Some(6));
     }
 
@@ -203,15 +195,10 @@ mod tests {
         )
         .unwrap();
         let alphabet = Alphabet::exhaustive(&p, &[]).unwrap();
-        let explicit = crate::bound::max_signal_value_opts(
-            &p,
-            &alphabet,
-            &"n".into(),
-            &CheckOptions::default(),
-        )
-        .unwrap();
-        let symbolic =
-            crate::bound::max_signal_value_opts(&p, &alphabet, &"n".into(), &bmc(8)).unwrap();
+        let explicit =
+            crate::bound::max_signal_value(&p, &alphabet, &"n".into(), &CheckOptions::default())
+                .unwrap();
+        let symbolic = crate::bound::max_signal_value(&p, &alphabet, &"n".into(), &bmc(8)).unwrap();
         assert_eq!(explicit.max, Some(3));
         assert_eq!(symbolic.max, Some(3), "depth 8 sees the full period");
         assert!(!explicit.depth_bounded);

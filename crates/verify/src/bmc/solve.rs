@@ -28,7 +28,7 @@ use polysig_tagged::{SigName, Value, ValueType};
 use crate::alphabet::{Alphabet, EnvAutomaton};
 use crate::bound::BoundResult;
 use crate::error::VerifyError;
-use crate::prop::{Property, Shape};
+use crate::prop::{DenseCheck, Property};
 use crate::reach::{CheckOptions, CheckResult};
 
 use super::cnf::{Bit, Cnf};
@@ -247,57 +247,34 @@ impl Unroller {
     }
 }
 
-/// The property shapes the encoder understands, bound to a signal's dense
-/// index (`None`: the program never declares the signal — trivially safe).
-enum PropSpec {
-    NeverTrue(Option<usize>),
-    NeverPresent(Option<usize>),
-    InRange(Option<usize>, i64, i64),
-}
-
-fn prop_spec(property: &Property, reactor: &Reactor) -> Result<PropSpec, VerifyError> {
-    let ix = |s: &SigName| reactor.sig_id(s).map(|id| id.index());
-    match property.shape() {
-        Shape::NeverTrue(s) => Ok(PropSpec::NeverTrue(ix(s))),
-        Shape::NeverPresent(s) => Ok(PropSpec::NeverPresent(ix(s))),
-        Shape::InRange(s, lo, hi) => Ok(PropSpec::InRange(ix(s), *lo, *hi)),
-        Shape::Custom => {
-            Err(unsupported("custom property predicates cannot be encoded symbolically"))
-        }
-    }
-}
-
 /// The violation bit of one step's outputs: true iff this reaction breaks
-/// the property. Every signal slot is decided, so the bit is exact.
-fn violation_bit(cnf: &mut Cnf, outputs: &[SymFlow], spec: &PropSpec) -> Bit {
-    match spec {
-        PropSpec::NeverTrue(Some(ix)) => match &outputs[*ix] {
-            SymFlow::Dyn { pres, val: Some(SymVal::B(b)), .. } => cnf.and(*pres, *b),
-            // integer-valued, never-valued or constant slots are never
-            // present with `Value::TRUE`
-            _ => Bit::Const(false),
-        },
-        PropSpec::NeverPresent(Some(ix)) => match &outputs[*ix] {
-            SymFlow::Dyn { pres, .. } => *pres,
-            SymFlow::Ubiq(_) => Bit::Const(false),
-        },
-        PropSpec::InRange(Some(ix), lo, hi) => match &outputs[*ix] {
-            SymFlow::Dyn { pres, val: Some(SymVal::I(w)), .. } => {
-                let low = cnf.word_const(*lo);
-                let high = cnf.word_const(*hi);
-                let below = cnf.slt(w, &low);
-                let above = cnf.slt(&high, w);
-                let out = cnf.or(below, above);
-                cnf.and(*pres, out)
-            }
-            _ => Bit::Const(false),
-        },
+/// the property. Every signal slot is decided, so the bit is exact; a
+/// property over an undeclared signal is never violated.
+fn violation_bit(cnf: &mut Cnf, outputs: &[SymFlow], check: DenseCheck<'_>) -> Bit {
+    let Some(id) = check.id else { return Bit::Const(false) };
+    match (check.property, &outputs[id.index()]) {
+        (Property::NeverTrue(_), SymFlow::Dyn { pres, val: Some(SymVal::B(b)), .. }) => {
+            cnf.and(*pres, *b)
+        }
+        (Property::NeverPresent(_), SymFlow::Dyn { pres, .. }) => *pres,
+        (Property::InRange(_, lo, hi), SymFlow::Dyn { pres, val: Some(SymVal::I(w)), .. }) => {
+            let low = cnf.word_const(*lo);
+            let high = cnf.word_const(*hi);
+            let below = cnf.slt(w, &low);
+            let above = cnf.slt(&high, w);
+            let out = cnf.or(below, above);
+            cnf.and(*pres, out)
+        }
+        // constant slots never tick, and a slot of the wrong type (or a
+        // never-valued one) is never present with `Value::TRUE` or with
+        // an out-of-range integer
         _ => Bit::Const(false),
     }
 }
 
 /// Bounded check of `property` up to `depth` reactions — the
-/// [`crate::bmc::Backend::Bmc`] implementation behind [`crate::check`].
+/// [`crate::bmc::Backend::Bmc`] implementation behind [`crate::check`],
+/// which has already refused an empty alphabet.
 pub(crate) fn run_check(
     program: &Program,
     alphabet: &Alphabet,
@@ -305,20 +282,17 @@ pub(crate) fn run_check(
     options: &CheckOptions,
     depth: usize,
 ) -> Result<CheckResult, VerifyError> {
-    if alphabet.is_empty() {
-        return Err(VerifyError::EmptyAlphabet);
-    }
     let (mut un, mut reactor) = Unroller::new(program, alphabet, options.env.as_ref())?;
-    let spec = prop_spec(property, &reactor)?;
+    let check = property.bind(&reactor);
 
     for _ in 0..depth {
         let outputs = un.push_step()?;
-        let viol = violation_bit(&mut un.cnf, &outputs, &spec);
+        let viol = violation_bit(&mut un.cnf, &outputs, check);
         let vlit = un.cnf.lit(viol);
         if un.cnf.solver.solve_assuming(&[vlit]) {
             let seq = un.lex_minimize(vlit)?;
             reactor.reset();
-            let cx = decode::replay(&mut reactor, alphabet, &seq, property)?;
+            let cx = decode::replay(&mut reactor, alphabet, &seq, check)?;
             return Ok(CheckResult {
                 holds: false,
                 counterexample: Some(cx),
@@ -340,18 +314,17 @@ pub(crate) fn run_check(
 }
 
 /// Bounded maximization of an integer signal up to `depth` reactions — the
-/// symbolic counterpart of [`crate::bound::max_signal_value`].
+/// [`crate::bmc::Backend::Bmc`] implementation behind
+/// [`crate::bound::max_signal_value`], which has already refused an empty
+/// alphabet.
 pub(crate) fn run_bound(
     program: &Program,
     alphabet: &Alphabet,
-    env: Option<&EnvAutomaton>,
     signal: &SigName,
+    options: &CheckOptions,
     depth: usize,
 ) -> Result<BoundResult, VerifyError> {
-    if alphabet.is_empty() {
-        return Err(VerifyError::EmptyAlphabet);
-    }
-    let (mut un, reactor) = Unroller::new(program, alphabet, env)?;
+    let (mut un, reactor) = Unroller::new(program, alphabet, options.env.as_ref())?;
     // an undeclared signal never ticks, exactly like the explicit bound
     let Some(ix) = reactor.sig_id(signal).map(|id| id.index()) else {
         return Ok(BoundResult {

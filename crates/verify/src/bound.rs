@@ -7,10 +7,11 @@
 //! signal ever takes — applied to a channel's occupancy `count`, that is a
 //! *proof* of the worst-case buffer requirement, not an estimate.
 //!
-//! The exploration runs on the same layer-synchronous engine as
-//! [`crate::reach::check`]; [`max_signal_value_with`] exposes the worker
-//! thread count (the maximum is a commutative fold, so the result is
-//! identical at any thread count).
+//! The query takes the same [`CheckOptions`] as [`crate::reach::check`]
+//! and honours every field it does: the exploration runs on the same
+//! layer-synchronous engine (the maximum is a commutative fold, so the
+//! result is identical at any thread count), and [`Backend::Bmc`] answers
+//! it symbolically instead.
 
 use polysig_lang::Program;
 use polysig_sim::{DenseEnv, Reactor};
@@ -20,6 +21,7 @@ use crate::alphabet::{Alphabet, EnvAutomaton};
 use crate::bmc::Backend;
 use crate::error::VerifyError;
 use crate::frontier::{self, Inspect};
+use crate::reach::CheckOptions;
 
 /// Result of a bound computation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,9 +34,10 @@ pub struct BoundResult {
     pub states_explored: usize,
     /// Reactions executed.
     pub transitions: usize,
-    /// `true` iff the bound only covers traces up to a depth cutoff (the
-    /// symbolic backend); the explicit exploration is exhaustive, so its
-    /// maximum is a proven invariant and this is `false`.
+    /// `true` iff the bound only covers traces up to a depth cutoff: always
+    /// under the symbolic backend, and under the explicit one when
+    /// `max_depth` cut the exploration off before closure. Otherwise the
+    /// exploration was exhaustive and the maximum is a proven invariant.
     pub depth_bounded: bool,
 }
 
@@ -63,58 +66,40 @@ impl Inspect for MaxInspect {
     }
 }
 
-/// Explores every reachable state of `program` under `alphabet`/`env` and
-/// returns the maximum value ever carried by integer signal `signal`.
+/// Returns the maximum value integer signal `signal` ever carries on the
+/// executions of `program` that `alphabet` and `options.env` permit.
 ///
-/// Because the exploration is exhaustive (it aborts rather than truncate),
-/// the returned maximum is a proven invariant: `signal ≤ max` on every
-/// execution the environment permits.
-///
-/// Uses the workspace default worker count; see [`max_signal_value_with`]
-/// to pin it.
+/// Under [`Backend::Explicit`] every reachable state is explored (up to
+/// `options.max_depth` reactions, when set) on `options.threads` workers;
+/// the exploration aborts rather than truncate at `options.max_states`, so
+/// without a depth cutoff the returned maximum is a proven invariant:
+/// `signal ≤ max` on every execution the environment permits. Under
+/// [`Backend::Bmc`] the maximum covers traces up to that depth and
+/// `depth_bounded` is set.
 ///
 /// # Errors
 ///
 /// * [`VerifyError::EmptyAlphabet`] — nothing to explore;
 /// * [`VerifyError::StateCapExceeded`] — the space exceeds `max_states`
 ///   (the bound would be unsound, so no partial answer is returned);
-/// * [`VerifyError::Sim`] — a non-clock program error.
+/// * [`VerifyError::Sim`] — a non-clock program error;
+/// * [`VerifyError::BmcUnsupported`] — outside the symbolic backend's
+///   encodable fragment.
 pub fn max_signal_value(
     program: &Program,
     alphabet: &Alphabet,
-    env: Option<&EnvAutomaton>,
     signal: &SigName,
-    max_states: usize,
-) -> Result<BoundResult, VerifyError> {
-    max_signal_value_with(
-        program,
-        alphabet,
-        env,
-        signal,
-        max_states,
-        crossbeam::pool::default_threads(),
-    )
-}
-
-/// [`max_signal_value`] with an explicit worker thread count.
-///
-/// `threads == 1` never spawns; larger values fan each sufficiently large
-/// BFS layer across scoped workers. The proven bound and every counter are
-/// identical for every `threads` value.
-pub fn max_signal_value_with(
-    program: &Program,
-    alphabet: &Alphabet,
-    env: Option<&EnvAutomaton>,
-    signal: &SigName,
-    max_states: usize,
-    threads: usize,
+    options: &CheckOptions,
 ) -> Result<BoundResult, VerifyError> {
     if alphabet.is_empty() {
         return Err(VerifyError::EmptyAlphabet);
     }
+    if let Backend::Bmc { depth } = options.backend {
+        return crate::bmc::run_bound(program, alphabet, signal, options, depth);
+    }
     let mut reactor = Reactor::for_program(program)?;
     let free_env;
-    let env = match env {
+    let env = match &options.env {
         Some(e) => e,
         None => {
             free_env = EnvAutomaton::free(alphabet);
@@ -125,44 +110,20 @@ pub fn max_signal_value_with(
     let compiled = frontier::compile_boundary(&reactor, alphabet, env)?;
     // an undeclared signal never ticks, so `None` just leaves `max` empty
     let inspect = MaxInspect { watched: reactor.sig_id(signal) };
-    let e = frontier::explore(&mut reactor, &compiled, &inspect, max_states, None, threads)?;
+    let e = frontier::explore(
+        &mut reactor,
+        &compiled,
+        &inspect,
+        options.max_states,
+        options.max_depth,
+        options.threads,
+    )?;
     Ok(BoundResult {
         max: e.acc,
         states_explored: e.states.len(),
         transitions: e.transitions,
-        depth_bounded: false,
+        depth_bounded: e.depth_bounded,
     })
-}
-
-/// [`max_signal_value`] dispatched through [`CheckOptions`]: the explicit
-/// exhaustive exploration under [`Backend::Explicit`] (using the options'
-/// state cap, environment and thread count), or the symbolic bounded
-/// maximization under [`Backend::Bmc`] (the returned bound then only covers
-/// traces up to that depth — `depth_bounded` is set).
-///
-/// # Errors
-///
-/// As [`max_signal_value`]; the symbolic backend additionally reports
-/// [`VerifyError::BmcUnsupported`] outside its encodable fragment.
-pub fn max_signal_value_opts(
-    program: &Program,
-    alphabet: &Alphabet,
-    signal: &SigName,
-    options: &crate::reach::CheckOptions,
-) -> Result<BoundResult, VerifyError> {
-    match options.backend {
-        Backend::Explicit => max_signal_value_with(
-            program,
-            alphabet,
-            options.env.as_ref(),
-            signal,
-            options.max_states,
-            options.threads,
-        ),
-        Backend::Bmc { depth } => {
-            crate::bmc::run_bound(program, alphabet, options.env.as_ref(), signal, depth)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -186,6 +147,10 @@ mod tests {
         (alphabet, env)
     }
 
+    fn opts(env: Option<EnvAutomaton>, max_states: usize) -> CheckOptions {
+        CheckOptions { env, max_states, ..Default::default() }
+    }
+
     #[test]
     fn proves_fifo_occupancy_bound() {
         // 2 writes then 2 reads, cycled, on a depth-3 FIFO. The *ideal*
@@ -200,7 +165,8 @@ mod tests {
             (&[("tick", Value::TRUE), ("ch_rd", Value::TRUE)], 0),
             (&[("tick", Value::TRUE), ("ch_rd", Value::TRUE)], 0),
         ]);
-        let r = max_signal_value(&p, &alphabet, Some(&env), &"ch_count".into(), 100_000).unwrap();
+        let r =
+            max_signal_value(&p, &alphabet, &"ch_count".into(), &opts(Some(env), 100_000)).unwrap();
         assert_eq!(r.max, Some(3), "ideal bound 2 + one in-ripple item");
         assert!(r.states_explored > 1);
         // sanity: the bound can never exceed the declared depth
@@ -224,9 +190,13 @@ mod tests {
             (&[("tick", Value::TRUE), ("x_rd", Value::TRUE)], 0),
             (&[("tick", Value::TRUE), ("x_rd", Value::TRUE)], 0),
         ]);
-        let r =
-            max_signal_value(&generous.program, &alphabet, Some(&env), &"x_count".into(), 100_000)
-                .unwrap();
+        let r = max_signal_value(
+            &generous.program,
+            &alphabet,
+            &"x_count".into(),
+            &opts(Some(env), 100_000),
+        )
+        .unwrap();
         let bound = r.max.unwrap() as usize;
         // at least the ideal backlog of 2; bounded by the generous depth
         assert!((2..=6).contains(&bound), "got {bound}");
@@ -242,7 +212,7 @@ mod tests {
             &sized.program,
             &alphabet2,
             &crate::prop::Property::never_true("x_alarm"),
-            &crate::reach::CheckOptions { env: Some(env2), ..Default::default() },
+            &CheckOptions { env: Some(env2), ..Default::default() },
         )
         .unwrap();
         assert!(safe.holds);
@@ -258,11 +228,12 @@ mod tests {
         )
         .unwrap();
         let alphabet = Alphabet::exhaustive(&p, &[]).unwrap();
-        let r = max_signal_value(&p, &alphabet, None, &"m".into(), 10_000).unwrap();
+        let r = max_signal_value(&p, &alphabet, &"m".into(), &opts(None, 10_000)).unwrap();
         assert_eq!(r.max, None, "m never ticks (n is never negative)");
         // while n's own maximum is proven
-        let rn = max_signal_value(&p, &alphabet, None, &"n".into(), 10_000).unwrap();
+        let rn = max_signal_value(&p, &alphabet, &"n".into(), &opts(None, 10_000)).unwrap();
         assert_eq!(rn.max, Some(3));
+        assert!(!rn.depth_bounded, "exhaustive without a depth cutoff");
     }
 
     #[test]
@@ -273,8 +244,26 @@ mod tests {
         )
         .unwrap();
         let alphabet = Alphabet::exhaustive(&p, &[]).unwrap();
-        let err = max_signal_value(&p, &alphabet, None, &"n".into(), 10).unwrap_err();
+        let err = max_signal_value(&p, &alphabet, &"n".into(), &opts(None, 10)).unwrap_err();
         assert!(matches!(err, VerifyError::StateCapExceeded { .. }));
+    }
+
+    #[test]
+    fn depth_cutoff_bounds_the_maximum() {
+        // an unbounded counter has no exhaustive maximum (the cap aborts,
+        // above), but its maximum over traces of at most k reactions is k
+        let p = parse_program(
+            "process C { input tick: bool; output n: int; \
+             n := ((pre 0 n) when tick) + 1; n ^= tick; }",
+        )
+        .unwrap();
+        let alphabet = Alphabet::exhaustive(&p, &[]).unwrap();
+        for k in [1usize, 4, 7] {
+            let options = CheckOptions { max_depth: Some(k), ..Default::default() };
+            let r = max_signal_value(&p, &alphabet, &"n".into(), &options).unwrap();
+            assert_eq!(r.max, Some(k as i64), "k={k}");
+            assert!(r.depth_bounded, "k={k}");
+        }
     }
 
     #[test]
@@ -284,19 +273,13 @@ mod tests {
             (&[("tick", Value::TRUE), ("ch_in", Value::Int(1))], 0),
             (&[("tick", Value::TRUE), ("ch_rd", Value::TRUE)], 0),
         ]);
-        let seq = max_signal_value_with(&p, &alphabet, Some(&env), &"ch_count".into(), 100_000, 1)
-            .unwrap();
+        let run = |threads| {
+            let options = CheckOptions { threads, ..opts(Some(env.clone()), 100_000) };
+            max_signal_value(&p, &alphabet, &"ch_count".into(), &options).unwrap()
+        };
+        let seq = run(1);
         for threads in [2, 4, 8] {
-            let par = max_signal_value_with(
-                &p,
-                &alphabet,
-                Some(&env),
-                &"ch_count".into(),
-                100_000,
-                threads,
-            )
-            .unwrap();
-            assert_eq!(par, seq, "threads={threads}");
+            assert_eq!(run(threads), seq, "threads={threads}");
         }
     }
 }

@@ -56,17 +56,15 @@ impl ComparisonReport {
     }
 }
 
-/// Scenario pairs per worker below which the fan-out isn't worth the two
-/// extra program elaborations a parallel chunk pays for its simulators.
-const MIN_PAIRS_PER_CHUNK: usize = 4;
-
 /// Runs `left` and `right` over paired scenarios and compares the flows of
-/// the mapped signals under `relation`, using the workspace default worker
-/// count (see [`compare_flows_with`]).
+/// the mapped signals under `relation`. Every pair runs on the same two
+/// simulators, reset between pairs, and mismatches are reported in
+/// scenario order.
 ///
 /// # Errors
 ///
-/// Surfaces elaboration or reaction errors of either program.
+/// Surfaces elaboration or reaction errors of either program; a reaction
+/// error is the first one in scenario order.
 pub fn compare_flows(
     left: &Program,
     right: &Program,
@@ -74,79 +72,13 @@ pub fn compare_flows(
     signal_map: &[(SigName, SigName)],
     relation: FlowRelation,
 ) -> Result<ComparisonReport, VerifyError> {
-    compare_flows_with(
-        left,
-        right,
-        scenario_pairs,
-        signal_map,
-        relation,
-        crossbeam::pool::default_threads(),
-    )
-}
-
-/// [`compare_flows`] with an explicit worker thread count.
-///
-/// Scenario pairs are independent, so large ensembles are split into
-/// contiguous chunks, each executed on its own pair of simulators; chunk
-/// results are merged in scenario order, so the report (and, on failure,
-/// the surfaced error — always the earliest-indexed one) is identical for
-/// every `threads` value.
-pub fn compare_flows_with(
-    left: &Program,
-    right: &Program,
-    scenario_pairs: &[(Scenario, Scenario)],
-    signal_map: &[(SigName, SigName)],
-    relation: FlowRelation,
-    threads: usize,
-) -> Result<ComparisonReport, VerifyError> {
     // elaborate both programs up front: static errors surface even for an
-    // empty ensemble, and the sequential path reuses these simulators
+    // empty ensemble
     let mut left_sim = Simulator::for_program(left)?;
     let mut right_sim = Simulator::for_program(right)?;
     let mut report =
         ComparisonReport { scenarios: scenario_pairs.len(), matches: 0, mismatches: Vec::new() };
-
-    if threads <= 1 || scenario_pairs.len() < 2 * MIN_PAIRS_PER_CHUNK {
-        let (matches, mismatches) =
-            run_pairs(&mut left_sim, &mut right_sim, 0, scenario_pairs, signal_map, relation)?;
-        report.matches = matches;
-        report.mismatches = mismatches;
-        return Ok(report);
-    }
-
-    let outs = crossbeam::pool::map_chunks(
-        threads,
-        scenario_pairs,
-        MIN_PAIRS_PER_CHUNK,
-        |start, chunk| -> Result<(usize, Vec<Mismatch>), VerifyError> {
-            let mut ls = Simulator::for_program(left)?;
-            let mut rs = Simulator::for_program(right)?;
-            run_pairs(&mut ls, &mut rs, start, chunk, signal_map, relation)
-        },
-    );
-    // merge in chunk (= scenario) order; the first error in order is the
-    // one the sequential run would have hit first
-    for out in outs {
-        let (matches, mismatches) = out?;
-        report.matches += matches;
-        report.mismatches.extend(mismatches);
-    }
-    Ok(report)
-}
-
-/// Runs one contiguous slice of the ensemble on the given simulators;
-/// `first_index` is the slice's offset into the full ensemble.
-fn run_pairs(
-    left_sim: &mut Simulator,
-    right_sim: &mut Simulator,
-    first_index: usize,
-    pairs: &[(Scenario, Scenario)],
-    signal_map: &[(SigName, SigName)],
-    relation: FlowRelation,
-) -> Result<(usize, Vec<Mismatch>), VerifyError> {
-    let mut matches = 0usize;
-    let mut mismatches = Vec::new();
-    for (offset, (ls, rs)) in pairs.iter().enumerate() {
+    for (scenario, (ls, rs)) in scenario_pairs.iter().enumerate() {
         left_sim.reset();
         right_sim.reset();
         let lrun = left_sim.run(ls)?;
@@ -159,10 +91,10 @@ fn run_pairs(
                 FlowRelation::PrefixOfLeft => rf.len() <= lf.len() && lf[..rf.len()] == rf[..],
             };
             if ok {
-                matches += 1;
+                report.matches += 1;
             } else {
-                mismatches.push(Mismatch {
-                    scenario: first_index + offset,
+                report.mismatches.push(Mismatch {
+                    scenario,
                     left_signal: lsig.clone(),
                     right_signal: rsig.clone(),
                     left_flow: lf,
@@ -171,7 +103,7 @@ fn run_pairs(
             }
         }
     }
-    Ok((matches, mismatches))
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -223,20 +155,15 @@ mod tests {
     }
 
     #[test]
-    fn report_is_thread_count_invariant() {
-        // large enough ensemble to actually fan out; mismatch indices and
-        // order must match the sequential report exactly
+    fn mismatches_carry_their_scenario_index_in_order() {
         let a = doubler("A", 0);
         let b = doubler("B", 1);
-        let pairs = scenarios(16);
-        let map = [(SigName::from("x"), SigName::from("x"))];
-        let seq = compare_flows_with(&a, &b, &pairs, &map, FlowRelation::Equal, 1).unwrap();
-        assert_eq!(seq.mismatches.len(), 16);
-        for threads in [2, 4, 8] {
-            let par =
-                compare_flows_with(&a, &b, &pairs, &map, FlowRelation::Equal, threads).unwrap();
-            assert_eq!(par, seq, "threads={threads}");
-        }
+        let report =
+            compare_flows(&a, &b, &scenarios(16), &[("x".into(), "x".into())], FlowRelation::Equal)
+                .unwrap();
+        assert_eq!(report.scenarios, 16);
+        let indices: Vec<usize> = report.mismatches.iter().map(|m| m.scenario).collect();
+        assert_eq!(indices, (0..16).collect::<Vec<_>>());
     }
 
     #[test]

@@ -10,14 +10,21 @@
 //! * [`alphabet`] — finite input alphabets: every combination of
 //!   present/absent inputs over a finite value domain, optionally shaped by
 //!   an environment automaton (periodic writers/readers, bursts);
+//! * [`prop`] — the properties a query checks: a closed set of three
+//!   shapes over one signal ("never true", "never present", "in range"),
+//!   plain data that both checkers compile;
 //! * [`reach`] — explicit-state breadth-first reachability over a program's
-//!   `pre`-register state space, checking [`prop`] invariants and returning
-//!   the shortest [`counterexample`] input sequence on violation — exactly
-//!   the error trace the estimation loop feeds back into simulation;
+//!   `pre`-register state space, checking a [`Property`] on every reaction
+//!   and returning the shortest [`counterexample`] input sequence on
+//!   violation — exactly the error trace the estimation loop feeds back
+//!   into simulation;
+//! * [`bound`] — the maximum an integer signal reaches, a proven buffer
+//!   bound when the exploration is exhaustive;
+//! * [`bmc`] — symbolic bounded model checking, which answers both queries
+//!   when [`CheckOptions::backend`] selects it;
 //! * [`equiv`] — differential oracles: run two programs over a scenario
-//!   ensemble and compare selected signals for flow- or stretch-equivalence
-//!   (the equivalences of Definitions 2 and 4, used to validate Theorems 1
-//!   and 2 end-to-end).
+//!   ensemble and compare selected signals for flow-equivalence
+//!   (Definition 4, used to validate Theorems 1 and 2 end-to-end).
 //!
 //! ## Example: a one-place buffer overflows, a counterexample is found
 //!
@@ -54,9 +61,9 @@ pub mod reach;
 
 pub use alphabet::{Alphabet, EnvAutomaton};
 pub use bmc::Backend;
-pub use bound::{max_signal_value, max_signal_value_opts, max_signal_value_with, BoundResult};
+pub use bound::{max_signal_value, BoundResult};
 pub use counterexample::Counterexample;
-pub use equiv::{compare_flows, compare_flows_with, ComparisonReport};
+pub use equiv::{compare_flows, ComparisonReport};
 pub use error::VerifyError;
 pub use prop::Property;
 pub use reach::{check, CheckOptions, CheckResult};

@@ -17,7 +17,6 @@
 //! without the master tick). Genuine program errors still surface.
 
 use polysig_sim::{DenseEnv, Reactor};
-use polysig_tagged::SigName;
 
 use polysig_lang::Program;
 
@@ -83,19 +82,13 @@ pub struct CheckResult {
     pub depth_bounded: bool,
 }
 
-/// The property check as the frontier engine sees it: a bound dense check
-/// plus the id-ordered name table for the `Custom` fallback.
-struct PropInspect<'p> {
-    check: DenseCheck<'p>,
-    names: &'p [SigName],
-}
-
-impl Inspect for PropInspect<'_> {
+/// The property check as the frontier engine sees it.
+impl Inspect for DenseCheck<'_> {
     type Acc = ();
 
     #[inline]
     fn inspect(&self, reaction: &DenseEnv, _acc: &mut ()) -> bool {
-        !self.check.holds_dense(reaction, self.names)
+        !self.holds_dense(reaction)
     }
 
     fn merge(_into: &mut (), _from: ()) {}
@@ -133,8 +126,7 @@ pub fn check(
     };
 
     let compiled = frontier::compile_boundary(&reactor, alphabet, env)?;
-    let names = reactor.signal_names().to_vec();
-    let inspect = PropInspect { check: property.bind(&reactor), names: &names };
+    let inspect = property.bind(&reactor);
     let e = frontier::explore(
         &mut reactor,
         &compiled,

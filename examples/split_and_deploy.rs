@@ -14,7 +14,7 @@ use polysig::sim::generator::master_clock;
 use polysig::sim::{PeriodicInputs, ScenarioGenerator, Simulator};
 use polysig::tagged::{Value, ValueType};
 use polysig::verify::alphabet::Letter;
-use polysig::verify::{max_signal_value, Alphabet, EnvAutomaton};
+use polysig::verify::{max_signal_value, Alphabet, CheckOptions, EnvAutomaton};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // One monolithic filter-and-integrate design.
@@ -79,9 +79,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let proved = max_signal_value(
         &generous.program,
         &alphabet,
-        Some(&autom),
         &format!("{channel}_count").as_str().into(),
-        100_000,
+        &CheckOptions { env: Some(autom), max_states: 100_000, ..Default::default() },
     )?;
 
     println!("buffer sizing for channel `{channel}` (writer 1/tick, reader 1/tick):");

@@ -172,15 +172,16 @@ fn run(args: &[String]) -> Result<(), String> {
         "verify" => {
             let signal = args.get(2).ok_or("verify needs a signal name")?;
             let alphabet = Alphabet::exhaustive(&program, &[0, 1]).map_err(|e| e.to_string())?;
+            let property = Property::never_true(signal.as_str());
             let result = check(
                 &program,
                 &alphabet,
-                &Property::never_true(signal.as_str()),
+                &property,
                 &CheckOptions { max_states: 200_000, ..Default::default() },
             )
             .map_err(|e| e.to_string())?;
             println!(
-                "property `never {signal}=true`: {} ({} states, {} transitions)",
+                "property `{property}`: {} ({} states, {} transitions)",
                 if result.holds { "HOLDS" } else { "VIOLATED" },
                 result.states_explored,
                 result.transitions
@@ -202,18 +203,19 @@ fn run(args: &[String]) -> Result<(), String> {
                 .transpose()?
                 .unwrap_or(8);
             let alphabet = Alphabet::exhaustive(&program, &[0, 1]).map_err(|e| e.to_string())?;
+            let property = Property::never_true(signal.as_str());
             let result = check(
                 &program,
                 &alphabet,
-                &Property::never_true(signal.as_str()),
+                &property,
                 &CheckOptions { backend: Backend::Bmc { depth }, ..Default::default() },
             )
             .map_err(|e| e.to_string())?;
             if result.holds {
-                println!("property `never {signal}=true`: HOLDS (bounded to depth {depth})");
+                println!("property `{property}`: HOLDS (bounded to depth {depth})");
                 Ok(())
             } else {
-                println!("property `never {signal}=true`: VIOLATED");
+                println!("property `{property}`: VIOLATED");
                 if let Some(cx) = result.counterexample {
                     print!("{cx}");
                 }

@@ -9,6 +9,8 @@
 //! [`Outcome`]; outcome payloads are the *library's* report types, so
 //! equality against a direct library call is plain `==` — the `ServeEquiv`
 //! oracle's whole comparison.
+//!
+//! [`Scenario::from_text`]: polysig_sim::Scenario::from_text
 
 use std::fmt::Write as _;
 use std::io::{self, Read, Write};
@@ -123,7 +125,7 @@ pub struct Request {
     pub kind: RequestKind,
     /// The Signal program source.
     pub source: String,
-    /// Scenario in [`Scenario::from_text`] line format.
+    /// Scenario in [`polysig_sim::Scenario::from_text`] line format.
     pub scenario: Option<String>,
     /// Signal name for the `never_true` reachability property.
     pub property: Option<String>,

@@ -84,7 +84,17 @@ fn verify_holds_and_fails_appropriately() {
     // n is an int, never boolean true
     let out = cli().args(["verify", f.to_str().unwrap(), "n"]).output().unwrap();
     assert!(out.status.success());
-    assert!(String::from_utf8_lossy(&out.stdout).contains("HOLDS"));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        "property `never n=true`: HOLDS (4 states, 4 transitions)\n"
+    );
+    // the symbolic backend answers the same query, bounded
+    let out = cli().args(["bmc", f.to_str().unwrap(), "n"]).output().unwrap();
+    assert!(out.status.success());
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        "property `never n=true`: HOLDS (bounded to depth 8)\n"
+    );
 
     // a signal that IS sometimes true → violation + counterexample
     let f2 = write_temp(
@@ -94,8 +104,17 @@ fn verify_holds_and_fails_appropriately() {
     let out = cli().args(["verify", f2.to_str().unwrap(), "b"]).output().unwrap();
     assert!(!out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("VIOLATED"));
-    assert!(stdout.contains("counterexample"));
+    let (verdict, counterexample) = stdout.split_once('\n').unwrap();
+    assert_eq!(verdict, "property `never b=true`: VIOLATED (1 states, 1 transitions)");
+    assert!(counterexample.starts_with("counterexample"));
+    // …and BMC prints the same counterexample under its own verdict line
+    let out = cli().args(["bmc", f2.to_str().unwrap(), "b"]).output().unwrap();
+    assert!(!out.status.success());
+    let bmc_stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        bmc_stdout.split_once('\n'),
+        Some(("property `never b=true`: VIOLATED", counterexample))
+    );
 }
 
 #[test]

@@ -216,7 +216,7 @@ mod thread_invariance {
     use super::*;
     use polysig::verify::alphabet::Letter;
     use polysig::verify::reach::{check, CheckOptions};
-    use polysig::verify::{max_signal_value_with, Alphabet, EnvAutomaton, Property};
+    use polysig::verify::{max_signal_value, Alphabet, EnvAutomaton, Property};
     use proptest::prelude::*;
 
     /// Builds the FIFO write/read letter a `(write, read)` choice denotes.
@@ -236,7 +236,7 @@ mod thread_invariance {
         /// Random FIFO depths, random cyclic environment automata, random
         /// depth bounds: the parallel checker must agree with the
         /// sequential one on every result field, and the bound prover on
-        /// the proven maximum.
+        /// the maximum under the same options.
         #[test]
         fn random_envs_give_identical_verdicts_across_thread_counts(
             depth in 1usize..4,
@@ -251,21 +251,21 @@ mod thread_invariance {
             let base = CheckOptions { env: Some(env.clone()), max_depth, ..Default::default() };
             let property = Property::never_true("ch_alarm");
 
-            let seq = check(&p, &alphabet, &property,
-                &CheckOptions { threads: 1, ..base.clone() }).unwrap();
-            let seq_bound = max_signal_value_with(
-                &p, &alphabet, Some(&env), &"ch_count".into(), 1_000_000, 1).unwrap();
+            let seq_options = CheckOptions { threads: 1, ..base.clone() };
+            let seq = check(&p, &alphabet, &property, &seq_options).unwrap();
+            let seq_bound =
+                max_signal_value(&p, &alphabet, &"ch_count".into(), &seq_options).unwrap();
             for threads in [2usize, 8] {
-                let par = check(&p, &alphabet, &property,
-                    &CheckOptions { threads, ..base.clone() }).unwrap();
+                let par_options = CheckOptions { threads, ..base.clone() };
+                let par = check(&p, &alphabet, &property, &par_options).unwrap();
                 prop_assert_eq!(seq.holds, par.holds);
                 prop_assert_eq!(&seq.counterexample, &par.counterexample);
                 prop_assert_eq!(seq.states_explored, par.states_explored);
                 prop_assert_eq!(seq.transitions, par.transitions);
                 prop_assert_eq!(seq.pruned, par.pruned);
                 prop_assert_eq!(seq.depth_bounded, par.depth_bounded);
-                let par_bound = max_signal_value_with(
-                    &p, &alphabet, Some(&env), &"ch_count".into(), 1_000_000, threads).unwrap();
+                let par_bound =
+                    max_signal_value(&p, &alphabet, &"ch_count".into(), &par_options).unwrap();
                 prop_assert_eq!(&seq_bound, &par_bound);
             }
         }

@@ -14,7 +14,7 @@ use polysig::lang::{parse_program, Program};
 use polysig::tagged::Value;
 use polysig::verify::alphabet::Letter;
 use polysig::verify::reach::{check, CheckOptions, CheckResult};
-use polysig::verify::{max_signal_value_with, Alphabet, EnvAutomaton, Property, VerifyError};
+use polysig::verify::{max_signal_value, Alphabet, EnvAutomaton, Property, VerifyError};
 
 const THREADS: [usize; 3] = [2, 4, 8];
 
@@ -178,12 +178,17 @@ fn proven_bounds_are_thread_count_invariant() {
     read.insert("tick".into(), Value::TRUE);
     read.insert("ch_rd".into(), Value::TRUE);
     let env = EnvAutomaton::cycle(&mut alphabet, &[write.clone(), write, read]);
-    let seq =
-        max_signal_value_with(&p, &alphabet, Some(&env), &"ch_count".into(), 100_000, 1).unwrap();
+    let run = |threads| {
+        let options = CheckOptions {
+            env: Some(env.clone()),
+            max_states: 100_000,
+            threads,
+            ..Default::default()
+        };
+        max_signal_value(&p, &alphabet, &"ch_count".into(), &options).unwrap()
+    };
+    let seq = run(1);
     for threads in THREADS {
-        let par =
-            max_signal_value_with(&p, &alphabet, Some(&env), &"ch_count".into(), 100_000, threads)
-                .unwrap();
-        assert_eq!(seq, par, "bound diverges at threads={threads}");
+        assert_eq!(seq, run(threads), "bound diverges at threads={threads}");
     }
 }

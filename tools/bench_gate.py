@@ -28,7 +28,11 @@ each robust to per-id mode flips:
 * **per-id hard cap** — each id's ratio, normalized by the batch
   median, must stay under `MODE_STEP * (1 + threshold)`. One mode step
   is environmental; beyond a mode step plus the threshold is a real
-  per-id regression (the accidental-clone / lost-cache class).
+  per-id regression (the accidental-clone / lost-cache class). The
+  normalizer is the batch median or 1, whichever is larger: host steal
+  slows a whole batch down, never speeds it up, so a batch median
+  below 1 means code got faster, and dividing by it would inflate the
+  ratio of every id that change left alone.
 * **serve cache contract** — within at least one fresh file (so both
   sides share a process), `serve/cold_pipe` must be `SERVE_FLOORS[id]`x
   slower than each hit row: 30x for `serve/warm_hit`, the engine's
@@ -108,13 +112,14 @@ def main() -> int:
         print("bench gate: no gated ids with a committed baseline")
         return 0
     batch = statistics.median(ratios.values())
+    normalizer = max(batch, 1.0)
     cap = MODE_STEP * (1.0 + threshold)
 
     failures = []
     label = "fresh" if len(runs) == 1 else f"min of {len(runs)}"
     print(f"{'id':<44} {'baseline':>12} {label:>12} {'delta':>8} {'norm':>8}")
     for bench_id in sorted(ratios):
-        normalized = ratios[bench_id] / batch
+        normalized = ratios[bench_id] / normalizer
         if normalized > cap:
             flag = " FAIL"
             failures.append(
@@ -131,7 +136,7 @@ def main() -> int:
         )
     for bench_id in skipped:
         print(f"{bench_id:<44} {'(no baseline — skipped)':>34}")
-    print(f"\nbatch median fresh/baseline ratio: {batch:.3f} (normalizer)")
+    print(f"\nbatch median fresh/baseline ratio: {batch:.3f} (normalizer {normalizer:.3f})")
 
     if batch - 1.0 > threshold:
         failures.append(
