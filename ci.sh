@@ -101,6 +101,19 @@ cargo run -q --release -p polysig-gen --bin gen_corpus -- \
   --shape ring --count 32 --seed 1 --out "$ring_corpus"
 ./target/release/polysig-lint --deny warnings \
   --waivers programs/ring.waivers "$ring_corpus"/*.sig > /dev/null
+
+echo "==> polysig-lint --json: one parseable document per file, shipped programs and ring corpus"
+check_json='import json, sys
+lines = open(sys.argv[1]).read().splitlines()
+assert len(lines) == int(sys.argv[2]), f"{len(lines)} documents for {sys.argv[2]} files"
+for line in lines:
+    json.loads(line)'
+json_out="$ring_corpus/lint.json"
+./target/release/polysig-lint --json --waivers programs/lint.waivers programs/*.sig > "$json_out"
+python3 -c "$check_json" "$json_out" "$(ls programs/*.sig | wc -l)"
+./target/release/polysig-lint --json \
+  --waivers programs/ring.waivers "$ring_corpus"/*.sig > "$json_out"
+python3 -c "$check_json" "$json_out" "$(ls "$ring_corpus"/*.sig | wc -l)"
 rm -rf "$ring_corpus"
 
 if [[ "${POLYSIG_BENCH_GATE:-run}" == "skip" ]]; then

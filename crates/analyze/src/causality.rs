@@ -12,10 +12,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use polysig_gals::ChannelSpec;
 use polysig_lang::{DependencyGraph, Program};
 use polysig_tagged::SigName;
 
-use crate::channels::Channel;
 use crate::diag::{Diagnostic, LintCode};
 
 /// A node of the composed graph: channel signals (and external inputs) are
@@ -32,7 +32,7 @@ fn show(node: &Node) -> String {
 
 /// Builds the composed instantaneous-dependency graph and reports every
 /// elementary cycle's path (one `PA003` per distinct cycle).
-pub fn check(program: &Program, channels: &[Channel], out: &mut Vec<Diagnostic>) {
+pub fn check(program: &Program, channels: &[ChannelSpec], out: &mut Vec<Diagnostic>) {
     let global: BTreeSet<&SigName> = channels.iter().map(|c| &c.signal).collect();
     let mut edges: BTreeMap<Node, BTreeSet<Node>> = BTreeMap::new();
     for component in &program.components {
@@ -126,12 +126,12 @@ fn report(cycle: &[Node], out: &mut Vec<Diagnostic>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channels::discover;
+    use polysig_gals::channel_edges;
     use polysig_lang::parse_program;
 
     fn run(src: &str) -> Vec<Diagnostic> {
         let p = parse_program(src).unwrap();
-        let (channels, _) = discover(&p);
+        let (channels, _) = channel_edges(&p);
         let mut out = Vec::new();
         check(&p, &channels, &mut out);
         out

@@ -283,90 +283,6 @@ impl Diagnostic {
         }
         out
     }
-
-    /// The finding as a JSON object.
-    pub fn to_json(&self) -> String {
-        let mut obj = JsonObject::new();
-        obj.push_str("code", self.code.as_str());
-        obj.push_str("name", self.code.name());
-        obj.push_str("level", self.level.as_str());
-        obj.push_opt_str("component", self.component.as_deref());
-        obj.push_opt_str("signal", self.signal.as_ref().map(|s| s.as_str()));
-        obj.push_str("message", &self.message);
-        obj.push_opt_str("suggestion", self.suggestion.as_deref());
-        obj.push_opt_str("waived", self.waived.as_deref());
-        obj.finish()
-    }
-}
-
-/// Minimal JSON object writer (the workspace has no serde; diagnostics only
-/// need strings, numbers and nulls).
-pub(crate) struct JsonObject {
-    buf: String,
-    first: bool,
-}
-
-impl JsonObject {
-    pub(crate) fn new() -> JsonObject {
-        JsonObject { buf: String::from("{"), first: true }
-    }
-
-    fn key(&mut self, key: &str) {
-        if !self.first {
-            self.buf.push(',');
-        }
-        self.first = false;
-        self.buf.push('"');
-        self.buf.push_str(key);
-        self.buf.push_str("\":");
-    }
-
-    pub(crate) fn push_str(&mut self, key: &str, value: &str) {
-        self.key(key);
-        self.buf.push_str(&json_string(value));
-    }
-
-    pub(crate) fn push_opt_str(&mut self, key: &str, value: Option<&str>) {
-        self.key(key);
-        match value {
-            Some(v) => self.buf.push_str(&json_string(v)),
-            None => self.buf.push_str("null"),
-        }
-    }
-
-    pub(crate) fn push_num(&mut self, key: &str, value: usize) {
-        self.key(key);
-        self.buf.push_str(&value.to_string());
-    }
-
-    pub(crate) fn push_raw(&mut self, key: &str, raw: &str) {
-        self.key(key);
-        self.buf.push_str(raw);
-    }
-
-    pub(crate) fn finish(mut self) -> String {
-        self.buf.push('}');
-        self.buf
-    }
-}
-
-/// Escapes a string for JSON.
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -408,16 +324,5 @@ mod tests {
         waived.waived = Some("known benign".into());
         assert!(waived.render().contains("PA001 waived"));
         assert!(waived.render().contains("= waived: known benign"));
-    }
-
-    #[test]
-    fn json_escapes_and_nulls() {
-        let d = Diagnostic::new(LintCode::CausalityCycle, "path \"a\" → b\n");
-        let json = d.to_json();
-        assert!(json.contains("\"code\":\"PA003\""));
-        assert!(json.contains("\\\"a\\\""));
-        assert!(json.contains("\\n"));
-        assert!(json.contains("\"component\":null"));
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
     }
 }

@@ -41,12 +41,12 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use polysig_gals::{channel_edges, ChannelSpec};
 use polysig_lang::{Component, Expr, Program, Role};
 use polysig_sim::{DenseEnv, Reactor, Scenario};
 use polysig_tagged::{SigName, Value, ValueType};
 
-use crate::channels::{self, Channel};
-use crate::diag::{Diagnostic, JsonObject, LintCode};
+use crate::diag::{Diagnostic, LintCode};
 use crate::rates::StaticBounds;
 
 /// Replay passes before the engine gives up with an `Unknown` verdict (a
@@ -82,7 +82,16 @@ impl DeploymentPlan {
     /// capacities default to 1 (the runtime's own default) and are *not*
     /// treated as explicit.
     pub fn canonical(program: &Program, scenario: Option<&Scenario>) -> DeploymentPlan {
-        let (chans, _) = channels::discover(program);
+        DeploymentPlan::canonical_over(program, &channel_edges(program).0, scenario)
+    }
+
+    /// [`DeploymentPlan::canonical`] over the program's already-walked
+    /// channel edges.
+    pub(crate) fn canonical_over(
+        program: &Program,
+        chans: &[ChannelSpec],
+        scenario: Option<&Scenario>,
+    ) -> DeploymentPlan {
         let channel_sigs: BTreeSet<&SigName> = chans.iter().map(|c| &c.signal).collect();
         let mut plan = DeploymentPlan { default_capacity: 1, ..DeploymentPlan::default() };
         for c in &program.components {
@@ -189,37 +198,6 @@ impl DeploymentReport {
     pub fn is_deadlock_free(&self) -> bool {
         matches!(self.verdict, DeploymentVerdict::DeadlockFree { .. })
     }
-
-    /// The report as one JSON object.
-    pub fn to_json(&self) -> String {
-        let mut obj = JsonObject::new();
-        match &self.verdict {
-            DeploymentVerdict::DeadlockFree { argument } => {
-                obj.push_str("verdict", "deadlock-free");
-                obj.push_str("argument", argument);
-            }
-            DeploymentVerdict::DeadlockRisk { cycle, reason } => {
-                obj.push_str("verdict", "deadlock-risk");
-                obj.push_str("reason", reason);
-                let items: Vec<String> =
-                    cycle.iter().map(|s| format!("\"{}\"", s.as_str())).collect();
-                obj.push_raw("cycle", &format!("[{}]", items.join(",")));
-            }
-            DeploymentVerdict::Unknown { reason } => {
-                obj.push_str("verdict", "unknown");
-                obj.push_str("reason", reason);
-            }
-        }
-        obj.push_num("channels", self.channels);
-        if !self.suggested_capacities.is_empty() {
-            let mut caps = JsonObject::new();
-            for (signal, cap) in &self.suggested_capacities {
-                caps.push_num(signal.as_str(), *cap);
-            }
-            obj.push_raw("suggested_capacities", &caps.finish());
-        }
-        obj.finish()
-    }
 }
 
 /// Analyzes one deployment of `program`: emits `PA008` on a deadlock risk,
@@ -237,14 +215,25 @@ pub fn analyze_deployment(
     plan: &DeploymentPlan,
     bounds: Option<&StaticBounds>,
 ) -> (DeploymentReport, Vec<Diagnostic>) {
-    let (chans, fanout) = channels::discover(program);
+    let (chans, fanout) = channel_edges(program);
+    deployment(program, &chans, !fanout.is_empty(), plan, bounds)
+}
+
+/// [`analyze_deployment`] over the program's already-walked channel edges.
+pub(crate) fn deployment(
+    program: &Program,
+    chans: &[ChannelSpec],
+    fanned_out: bool,
+    plan: &DeploymentPlan,
+    bounds: Option<&StaticBounds>,
+) -> (DeploymentReport, Vec<Diagnostic>) {
     let mut diagnostics = Vec::new();
 
     // PA009: audit explicit capacities against proven FIFO depths
     if plan.is_explicit() {
         if let Some(bounds) = bounds {
             let minimal = bounds.minimal_safe_capacities();
-            for ch in &chans {
+            for ch in chans {
                 let Some(&min) = minimal.get(&ch.signal) else { continue };
                 let cap = plan.capacity_of(&ch.signal);
                 if cap < min {
@@ -271,7 +260,7 @@ pub fn analyze_deployment(
         }
     }
 
-    let (verdict, suggested_capacities) = deadlock_verdict(program, plan, &chans, &fanout);
+    let (verdict, suggested_capacities) = deadlock_verdict(program, plan, chans, fanned_out);
     if let DeploymentVerdict::DeadlockRisk { cycle, reason } = &verdict {
         let mut diag = Diagnostic::new(
             LintCode::FederatedDeadlockRisk,
@@ -303,8 +292,8 @@ pub fn analyze_deployment(
 fn deadlock_verdict(
     program: &Program,
     plan: &DeploymentPlan,
-    chans: &[Channel],
-    fanout: &[(SigName, Vec<String>)],
+    chans: &[ChannelSpec],
+    fanned_out: bool,
 ) -> (DeploymentVerdict, BTreeMap<SigName, usize>) {
     let none = BTreeMap::new();
     if chans.is_empty() {
@@ -312,7 +301,7 @@ fn deadlock_verdict(
             "no cross-component channels: the federation is trivially deadlock-free".to_string();
         return (DeploymentVerdict::DeadlockFree { argument }, none);
     }
-    if !fanout.is_empty() {
+    if fanned_out {
         let reason = "fanned-out signals violate the single-producer/single-consumer channel \
                       discipline (PA006); deadlock analysis needs point-to-point channels"
             .to_string();
@@ -367,7 +356,7 @@ fn deadlock_verdict(
         Err(reason) => return (DeploymentVerdict::Unknown { reason }, none),
     };
     let mut presence = PresenceOracle::new(program);
-    match replay(program, &models, chans, Some(plan), &mut presence) {
+    match replay(&models, chans, Some(plan), &mut presence) {
         Err(reason) => (DeploymentVerdict::Unknown { reason }, none),
         Ok(ReplayOutcome::OutOfFuel) => {
             let reason = format!("the federation replay exceeded {MAX_PASSES} scheduler passes");
@@ -383,7 +372,7 @@ fn deadlock_verdict(
         }
         Ok(ReplayOutcome::Stuck { cycle, blocked }) => {
             // minimal safe capacities: peak occupancies when nothing blocks
-            let suggested = match replay(program, &models, chans, None, &mut presence) {
+            let suggested = match replay(&models, chans, None, &mut presence) {
                 Ok(ReplayOutcome::Completed { peaks }) => {
                     peaks.into_iter().map(|(signal, peak)| (signal, peak.max(1))).collect()
                 }
@@ -404,14 +393,14 @@ fn deadlock_verdict(
 /// the channel signals along the cycle.
 fn data_driven_cycle(
     program: &Program,
-    chans: &[Channel],
+    chans: &[ChannelSpec],
     is_data_driven: &dyn Fn(&str) -> bool,
 ) -> Option<Vec<SigName>> {
     let nodes: Vec<&str> =
         program.components.iter().map(|c| c.name.as_str()).filter(|n| is_data_driven(n)).collect();
     // iterative DFS with an explicit edge stack; only edges between
     // data-driven nodes participate
-    let edges = |n: &str| -> Vec<&Channel> {
+    let edges = |n: &str| -> Vec<&ChannelSpec> {
         chans.iter().filter(|c| c.producer == n && is_data_driven(&c.consumer)).collect()
     };
     let mut visited: BTreeSet<&str> = BTreeSet::new();
@@ -422,7 +411,7 @@ fn data_driven_cycle(
         // path of (node, channel taken to reach the *next* entry)
         let mut path: Vec<(&str, &SigName)> = Vec::new();
         let mut on_path: BTreeSet<&str> = BTreeSet::new();
-        let mut stack: Vec<(&str, Vec<&Channel>)> = vec![(start, edges(start))];
+        let mut stack: Vec<(&str, Vec<&ChannelSpec>)> = vec![(start, edges(start))];
         on_path.insert(start);
         while let Some((node, out)) = stack.last_mut() {
             let node = *node;
@@ -537,7 +526,7 @@ enum ReplayOutcome {
 fn build_models(
     program: &Program,
     plan: &DeploymentPlan,
-    chans: &[Channel],
+    chans: &[ChannelSpec],
     comp_index: &BTreeMap<&str, usize>,
     is_data_driven: &dyn Fn(&str) -> bool,
 ) -> Result<Vec<FedModel>, String> {
@@ -590,9 +579,8 @@ fn build_models(
 /// Runs the federation to quiescence or a blocked fixpoint. `plan: None`
 /// replays with unbounded capacities (for peak-occupancy suggestions).
 fn replay(
-    program: &Program,
     models: &[FedModel],
-    chans: &[Channel],
+    chans: &[ChannelSpec],
     plan: Option<&DeploymentPlan>,
     presence: &mut PresenceOracle<'_>,
 ) -> Result<ReplayOutcome, String> {
@@ -616,15 +604,8 @@ fn replay(
     for _pass in 0..MAX_PASSES {
         let mut progressed = false;
         for f in 0..models.len() {
-            progressed |= run_federate(
-                f,
-                program,
-                models,
-                &mut fed_states,
-                chans,
-                &mut chan_states,
-                presence,
-            )?;
+            progressed |=
+                run_federate(f, models, &mut fed_states, chans, &mut chan_states, presence)?;
         }
         if fed_states.iter().all(|s| s.done) {
             let peaks =
@@ -649,10 +630,9 @@ fn replay(
 /// termination-vs-deadlock outcome is deterministic.)
 fn run_federate(
     f: usize,
-    program: &Program,
     models: &[FedModel],
     feds: &mut [FedState],
-    chans: &[Channel],
+    chans: &[ChannelSpec],
     chan_states: &mut [ChanState],
     presence: &mut PresenceOracle<'_>,
 ) -> Result<bool, String> {
@@ -703,7 +683,7 @@ fn run_federate(
                         i += 1;
                         continue;
                     }
-                    if feds[chans[ci].producer_index(program)].done {
+                    if feds[chan_producer(models, chans, ci)].done {
                         feds[f].in_gone[i] = true;
                         moved = true;
                         i += 1;
@@ -756,7 +736,7 @@ fn run_federate(
                         j += 1;
                         continue;
                     }
-                    if feds[chans[ci].consumer_index(program)].done {
+                    if feds[chan_consumer(models, chans, ci)].done {
                         // the consumer retired: the send is skipped
                         j += 1;
                         continue;
@@ -786,19 +766,10 @@ fn run_federate(
     }
 }
 
-impl Channel {
-    fn producer_index(&self, program: &Program) -> usize {
-        program.components.iter().position(|c| c.name == self.producer).expect("producer exists")
-    }
-    fn consumer_index(&self, program: &Program) -> usize {
-        program.components.iter().position(|c| c.name == self.consumer).expect("consumer exists")
-    }
-}
-
 /// Extracts the wait-for cycle from a blocked fixpoint: follow each stuck
 /// federate's wait edge (blocked receive → the channel's producer, blocked
 /// send → its consumer) until a federate repeats.
-fn stuck_cycle(models: &[FedModel], feds: &[FedState], chans: &[Channel]) -> ReplayOutcome {
+fn stuck_cycle(models: &[FedModel], feds: &[FedState], chans: &[ChannelSpec]) -> ReplayOutcome {
     let blocked: Vec<usize> = (0..feds.len()).filter(|&f| !feds[f].done).collect();
     let wait_edge = |f: usize| -> Option<(usize, usize)> {
         match feds[f].phase {
@@ -835,7 +806,7 @@ fn stuck_cycle(models: &[FedModel], feds: &[FedState], chans: &[Channel]) -> Rep
 }
 
 /// The component name behind federate `f` (via any adjacent channel).
-fn component_name(models: &[FedModel], chans: &[Channel], f: usize) -> String {
+fn component_name(models: &[FedModel], chans: &[ChannelSpec], f: usize) -> String {
     if let Some(&ci) = models[f].out_chans.first() {
         return chans[ci].producer.clone();
     }
@@ -845,13 +816,13 @@ fn component_name(models: &[FedModel], chans: &[Channel], f: usize) -> String {
     format!("federate #{f}")
 }
 
-fn chan_producer(models: &[FedModel], chans: &[Channel], ci: usize) -> usize {
+fn chan_producer(models: &[FedModel], chans: &[ChannelSpec], ci: usize) -> usize {
     (0..models.len())
         .find(|&f| models[f].out_chans.contains(&ci))
         .unwrap_or_else(|| panic!("channel `{}` has a producer federate", chans[ci].signal))
 }
 
-fn chan_consumer(models: &[FedModel], chans: &[Channel], ci: usize) -> usize {
+fn chan_consumer(models: &[FedModel], chans: &[ChannelSpec], ci: usize) -> usize {
     (0..models.len())
         .find(|&f| models[f].in_chans.contains(&ci))
         .unwrap_or_else(|| panic!("channel `{}` has a consumer federate", chans[ci].signal))
@@ -1107,7 +1078,6 @@ mod tests {
         assert!(diags.is_empty(), "{diags:?}");
         let DeploymentVerdict::DeadlockFree { argument } = &report.verdict else { unreachable!() };
         assert!(argument.contains("Kahn"), "{argument}");
-        assert!(report.to_json().contains("\"verdict\":\"deadlock-free\""));
     }
 
     #[test]

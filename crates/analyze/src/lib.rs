@@ -15,7 +15,7 @@
 //!   abstractly against a scenario, feeding
 //!   `EstimationOptions::proven` so the dynamic loop skips the rounds the
 //!   proof already covers;
-//! * **channel discipline** ([`channels`], `PA006`) — the paper's
+//! * **channel discipline** (`PA006`) — the paper's
 //!   single-producer/single-consumer restriction;
 //! * **static schedulability** (`PA007`) — an informational note per
 //!   component: whether it lowers to a compiled static schedule, and at
@@ -34,9 +34,18 @@
 //!   reaches an output, channel, or checked property, and inputs no
 //!   equation reads.
 //!
-//! Findings come back as a structured [`AnalysisReport`] of stable-coded
-//! [`Diagnostic`]s; the `polysig-lint` binary renders them for humans or as
-//! JSON and exits non-zero on deny-level findings.
+//! The analyzer models channels the way desynchronization does: the
+//! cross-component edges come from [`polysig_gals::channel_edges`] (the
+//! tolerant form of `channels_of_program`, which reports fan-out instead
+//! of refusing it) and a channel's read-request port from
+//! [`polysig_gals::nfifo::fifo_port`]. [`analyze_program`] and
+//! [`analyze_with_scenario`] are two entry points into one pass that walks
+//! the channels once and computes every finding once.
+//!
+//! Findings come back as data: a structured [`AnalysisReport`] of
+//! stable-coded [`Diagnostic`]s. The `polysig-lint` binary renders them
+//! for humans, or as JSON through the `polysig-serve` codec, and exits
+//! non-zero on deny-level findings.
 //!
 //! ## Example
 //!
@@ -56,7 +65,6 @@
 #![warn(missing_docs)]
 
 pub mod causality;
-pub mod channels;
 pub mod dead;
 pub mod diag;
 pub mod endochrony;
@@ -66,10 +74,10 @@ pub mod rates;
 
 use std::collections::BTreeMap;
 
+use polysig_gals::{channel_edges, ChannelSpec};
 use polysig_lang::{Endochrony, Program};
 use polysig_sim::Scenario;
 
-pub use channels::Channel;
 pub use diag::{Diagnostic, LintCode, LintLevel};
 pub use federated::{analyze_deployment, DeploymentPlan, DeploymentReport, DeploymentVerdict};
 pub use lints::{LintConfig, Waiver};
@@ -81,13 +89,16 @@ pub use rates::prove_bounds;
 /// Everything one analysis run established.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AnalysisReport {
-    /// Every finding, in emission order (endochrony, causality, channels,
-    /// rates).
+    /// Every finding, in emission order: endochrony, causality and
+    /// fan-out; a `PA004` note per channel when there is no scenario;
+    /// schedule notes and dead signals; the rate findings when there is a
+    /// scenario; and the deployment findings.
     pub diagnostics: Vec<Diagnostic>,
     /// The endochrony verdict per component.
     pub endochrony: BTreeMap<String, Endochrony>,
-    /// The discovered cross-component channels.
-    pub channels: Vec<Channel>,
+    /// The cross-component channels, one per producer→consumer edge (a
+    /// fanned-out signal yields one per consumer).
+    pub channels: Vec<ChannelSpec>,
     /// The rate prover's verdicts, when a scenario was supplied
     /// ([`analyze_with_scenario`]).
     pub bounds: Option<StaticBounds>,
@@ -123,43 +134,35 @@ impl AnalysisReport {
     pub fn configure(&mut self, config: &LintConfig) {
         config.apply(&mut self.diagnostics);
     }
-
-    /// The report as one JSON object (diagnostics, summary counts, and the
-    /// per-component endochrony verdicts).
-    pub fn to_json(&self) -> String {
-        let mut obj = diag::JsonObject::new();
-        let diags: Vec<String> = self.diagnostics.iter().map(Diagnostic::to_json).collect();
-        obj.push_raw("diagnostics", &format!("[{}]", diags.join(",")));
-        let mut summary = diag::JsonObject::new();
-        summary.push_num("deny", self.count_at(LintLevel::Deny));
-        summary.push_num("warn", self.count_at(LintLevel::Warn));
-        summary.push_num("allow", self.count_at(LintLevel::Allow));
-        summary.push_num("waived", self.diagnostics.iter().filter(|d| d.waived.is_some()).count());
-        obj.push_raw("summary", &summary.finish());
-        let mut endo = diag::JsonObject::new();
-        for (component, verdict) in &self.endochrony {
-            let name = match verdict {
-                Endochrony::Endochronous => "endochronous",
-                Endochrony::Endochronizable { .. } => "endochronizable",
-                Endochrony::NonDeterministic { .. } => "non-deterministic",
-            };
-            endo.push_str(component, name);
-        }
-        obj.push_raw("endochrony", &endo.finish());
-        if let Some(deployment) = &self.deployment {
-            obj.push_raw("deployment", &deployment.to_json());
-        }
-        obj.finish()
-    }
 }
 
 /// Runs every structural analysis (no scenario needed): endochrony,
 /// causality, channel discipline, and a `PA004` note per channel whose
 /// bound therefore stays unknown.
 pub fn analyze_program(program: &Program) -> AnalysisReport {
+    analyze(program, None)
+}
+
+/// [`analyze_program`] plus the scenario-aware rate analysis: channels get
+/// proven bounds where possible instead of `PA004` notes, channels the
+/// replayed loop proves divergent get a `PA005`, and the deployment
+/// verdict runs with the scenario driving the polling sources and the
+/// proven bounds available to the capacity audit.
+pub fn analyze_with_scenario(
+    program: &Program,
+    scenario: &Scenario,
+    options: &ProveOptions,
+) -> AnalysisReport {
+    analyze(program, Some((scenario, options)))
+}
+
+/// The one analysis pass behind both entry points: walks the channels
+/// once and emits every finding once, in [`AnalysisReport::diagnostics`]'
+/// order.
+fn analyze(program: &Program, scenario: Option<(&Scenario, &ProveOptions)>) -> AnalysisReport {
     let mut diagnostics = Vec::new();
     let endochrony = endochrony::check(program, &mut diagnostics);
-    let (channels, fanout) = channels::discover(program);
+    let (channels, fanout) = channel_edges(program);
     causality::check(program, &channels, &mut diagnostics);
     for (signal, consumers) in &fanout {
         diagnostics.push(
@@ -176,21 +179,23 @@ pub fn analyze_program(program: &Program) -> AnalysisReport {
             .suggest("insert an explicit fork component and give each consumer its own copy"),
         );
     }
-    for ch in &channels {
-        diagnostics.push(
-            Diagnostic::new(
-                LintCode::ChannelBoundUnknown,
-                format!(
-                    "channel `{}` ({} → {}): FIFO bound not established statically",
-                    ch.signal, ch.producer, ch.consumer
+    if scenario.is_none() {
+        for ch in &channels {
+            diagnostics.push(
+                Diagnostic::new(
+                    LintCode::ChannelBoundUnknown,
+                    format!(
+                        "channel `{}` ({} → {}): FIFO bound not established statically",
+                        ch.signal, ch.producer, ch.consumer
+                    ),
+                )
+                .on_signal(ch.signal.clone())
+                .suggest(
+                    "provide a scenario to `prove_bounds`/`analyze_with_scenario`, or size the \
+                     channel with the dynamic estimation loop",
                 ),
-            )
-            .on_signal(ch.signal.clone())
-            .suggest(
-                "provide a scenario to `prove_bounds`/`analyze_with_scenario`, or size the \
-                 channel with the dynamic estimation loop",
-            ),
-        );
+            );
+        }
     }
     for c in &program.components {
         let Ok(reactor) = polysig_sim::Reactor::for_component(c) else {
@@ -220,24 +225,25 @@ pub fn analyze_program(program: &Program) -> AnalysisReport {
         diagnostics.push(diag.in_component(c.name.clone()));
     }
     dead::check(program, &mut diagnostics);
-    let plan = DeploymentPlan::canonical(program, None);
-    let (deployment, deploy_diags) = analyze_deployment(program, &plan, None);
+    let bounds = scenario.map(|(scenario, options)| {
+        let bounds = rates::prove(program, &channels, !fanout.is_empty(), scenario, options);
+        rate_findings(&channels, &bounds, &mut diagnostics);
+        bounds
+    });
+    // the scenario drives the polling sources (so the replay stage can
+    // decide topologies a scenario-free pass leaves unknown), and the
+    // proven bounds feed the capacity audit
+    let plan = DeploymentPlan::canonical_over(program, &channels, scenario.map(|(s, _)| s));
+    let (deployment, deploy_diags) =
+        federated::deployment(program, &channels, !fanout.is_empty(), &plan, bounds.as_ref());
     diagnostics.extend(deploy_diags);
-    AnalysisReport { diagnostics, endochrony, channels, bounds: None, deployment: Some(deployment) }
+    AnalysisReport { diagnostics, endochrony, channels, bounds, deployment: Some(deployment) }
 }
 
-/// [`analyze_program`] plus the scenario-aware rate analysis: `PA004`
-/// notes are upgraded to proven bounds where possible, and channels the
-/// replayed loop proves divergent get a `PA005`.
-pub fn analyze_with_scenario(
-    program: &Program,
-    scenario: &Scenario,
-    options: &ProveOptions,
-) -> AnalysisReport {
-    let mut report = analyze_program(program);
-    let bounds = prove_bounds(program, scenario, options);
-    report.diagnostics.retain(|d| d.code != LintCode::ChannelBoundUnknown);
-    for ch in &report.channels {
+/// A `PA005` per channel the replayed loop proves divergent and a `PA004`
+/// per channel whose bound stays unknown under the scenario.
+fn rate_findings(channels: &[ChannelSpec], bounds: &StaticBounds, out: &mut Vec<Diagnostic>) {
+    for ch in channels {
         match bounds.bound_of(&ch.signal) {
             ChannelBound::Exact { .. } | ChannelBound::UpperBound { .. } => {}
             ChannelBound::Unbounded => {
@@ -249,14 +255,14 @@ pub fn analyze_with_scenario(
                 if bounds.steady_state_divergent.contains(&ch.signal) {
                     msg.push_str(" (and the periodic rates violate Lemma 2 in the long run)");
                 }
-                report.diagnostics.push(
+                out.push(
                     Diagnostic::new(LintCode::ChannelRateUnbounded, msg)
                         .on_signal(ch.signal.clone())
                         .suggest("slow the producer, speed up the reader, or bound the workload"),
                 );
             }
             ChannelBound::Unknown => {
-                report.diagnostics.push(
+                out.push(
                     Diagnostic::new(
                         LintCode::ChannelBoundUnknown,
                         format!(
@@ -271,17 +277,6 @@ pub fn analyze_with_scenario(
             }
         }
     }
-    // re-run the deployment pass with the scenario driving the polling
-    // sources (the replay stage can now decide topologies the scenario-free
-    // pass left unknown) and the proven bounds available to the capacity
-    // audit
-    let plan = DeploymentPlan::canonical(program, Some(scenario));
-    report.diagnostics.retain(|d| d.code != LintCode::FederatedDeadlockRisk);
-    let (deployment, deploy_diags) = analyze_deployment(program, &plan, Some(&bounds));
-    report.diagnostics.extend(deploy_diags);
-    report.deployment = Some(deployment);
-    report.bounds = Some(bounds);
-    report
 }
 
 #[cfg(test)]
@@ -313,12 +308,10 @@ mod tests {
         assert_eq!(report.channels.len(), 1);
         assert_eq!(report.endochrony.len(), 2);
         assert!(report.bounds.is_none());
-        let json = report.to_json();
-        assert!(json.contains("\"PA004\""));
-        assert!(json.contains("\"PA007\""));
-        assert!(json.contains("static schedule of"));
-        assert!(json.contains("\"P\":\"endochronous\""));
-        assert!(json.contains("\"deny\":0"));
+        assert_eq!(report.diagnostics[0].code, LintCode::ChannelBoundUnknown);
+        assert!(report.diagnostics[1].message.contains("static schedule of"));
+        assert_eq!(report.endochrony["P"], Endochrony::Endochronous);
+        assert_eq!(report.count_at(LintLevel::Deny), 0);
     }
 
     #[test]
@@ -391,7 +384,7 @@ mod tests {
         report.configure(&cfg);
         assert!(report.is_clean());
         assert!(report.diagnostics[0].waived.is_some());
-        assert!(report.to_json().contains("\"waived\":1"));
+        assert_eq!(report.diagnostics.iter().filter(|d| d.waived.is_some()).count(), 1);
     }
 
     #[test]

@@ -32,16 +32,16 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use polysig_gals::analytic::{steady_state_bound, PeriodicRate};
+use polysig_gals::nfifo::{fifo_port, FifoPort};
+use polysig_gals::{channel_edges, ChannelSpec, EstimationOptions};
 use polysig_lang::{const_guard_source, Program, Role};
 use polysig_sim::Scenario;
 use polysig_tagged::{SigName, Value};
 
-use crate::channels::rd_signal;
-
-/// Caps for the replayed estimation loop. The defaults mirror
-/// `EstimationOptions`' defaults; keep them in sync with the options the
-/// dynamic loop will actually run with, or `Exact` claims degrade to
-/// claims about a differently-capped loop.
+/// Caps for the replayed estimation loop: the caps of the
+/// [`EstimationOptions`] the dynamic loop runs with (by default, its
+/// defaults), or `Exact` claims degrade to claims about a
+/// differently-capped loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProveOptions {
     /// Starting depth of every channel (the loop clamps to ≥ 1).
@@ -54,7 +54,17 @@ pub struct ProveOptions {
 
 impl Default for ProveOptions {
     fn default() -> Self {
-        ProveOptions { initial_size: 1, max_iterations: 32, max_size: 4096 }
+        (&EstimationOptions::default()).into()
+    }
+}
+
+impl From<&EstimationOptions> for ProveOptions {
+    fn from(o: &EstimationOptions) -> Self {
+        ProveOptions {
+            initial_size: o.initial_size,
+            max_iterations: o.max_iterations,
+            max_size: o.max_size,
+        }
     }
 }
 
@@ -250,17 +260,28 @@ pub fn prove_bounds(
     scenario: &Scenario,
     options: &ProveOptions,
 ) -> StaticBounds {
-    let (channels, fanout) = crate::channels::discover(program);
+    let (channels, fanout) = channel_edges(program);
+    prove(program, &channels, !fanout.is_empty(), scenario, options)
+}
+
+/// [`prove_bounds`] over the program's already-walked channel edges.
+pub(crate) fn prove(
+    program: &Program,
+    channels: &[ChannelSpec],
+    fanned_out: bool,
+    scenario: &Scenario,
+    options: &ProveOptions,
+) -> StaticBounds {
     let mut out = StaticBounds {
         bounds: BTreeMap::new(),
         patterns: BTreeMap::new(),
         steady_state_divergent: BTreeSet::new(),
     };
-    for ch in &channels {
+    for ch in channels {
         out.bounds.insert(ch.signal.clone(), ChannelBound::Unknown);
     }
     // fanned-out programs do not desynchronize at all; nothing to prove
-    if !fanout.is_empty() || polysig_lang::resolve::resolve_program(program).is_err() {
+    if fanned_out || polysig_lang::resolve::resolve_program(program).is_err() {
         return out;
     }
     let facts = ScenarioFacts::extract(scenario);
@@ -272,7 +293,8 @@ pub fn prove_bounds(
     let external = program.external_inputs();
     let channel_signals: BTreeSet<&SigName> = channels.iter().map(|c| &c.signal).collect();
 
-    for ch in &channels {
+    let rd_signal = |signal: &SigName| fifo_port(signal.as_str(), FifoPort::Rd);
+    for ch in channels {
         let reads = facts.truth(&rd_signal(&ch.signal));
         let read_pattern = RatePattern::classify(&reads);
         let Some(producer) = program.component(&ch.producer) else { continue };

@@ -23,7 +23,7 @@ use polysig_tagged::SigName;
 
 use crate::error::GalsError;
 use crate::instrument::monitor_component;
-use crate::nfifo::nfifo_component;
+use crate::nfifo::{fifo_port, nfifo_component, FifoPort};
 use crate::partition::{channels_of_program, ChannelSpec};
 
 /// Options for [`desynchronize`].
@@ -273,10 +273,8 @@ impl DesyncCache {
         let mut channels = Vec::new();
 
         for spec in specs {
-            let base = spec.signal.as_str();
-            let in_signal = SigName::from(format!("{base}_in"));
-            let out_signal = SigName::from(format!("{base}_out"));
-            let rd_signal = SigName::from(format!("{base}_rd"));
+            let port = |p: FifoPort| fifo_port(spec.signal.as_str(), p);
+            let (in_signal, out_signal) = (port(FifoPort::In), port(FifoPort::Out));
 
             // rename producer's output x → x_in, consumer's input x → x_out
             let producer = components
@@ -291,16 +289,16 @@ impl DesyncCache {
             components.insert(spec.consumer.clone(), consumer);
 
             channels.push(ChannelInstance {
-                alarm_signal: SigName::from(format!("{base}_alarm")),
-                ok_signal: SigName::from(format!("{base}_ok")),
-                count_signal: SigName::from(format!("{base}_count")),
-                full_signal: SigName::from(format!("{base}_full")),
-                maxmiss_signal: instrument.then(|| SigName::from(format!("{base}_maxmiss"))),
+                rd_signal: port(FifoPort::Rd),
+                alarm_signal: port(FifoPort::Alarm),
+                ok_signal: port(FifoPort::Ok),
+                count_signal: port(FifoPort::Count),
+                full_signal: port(FifoPort::Full),
+                maxmiss_signal: instrument.then(|| port(FifoPort::MaxMiss)),
                 spec,
                 size: 0, // placeholder; every build fills it in
                 in_signal,
                 out_signal,
-                rd_signal,
             });
         }
 

@@ -9,6 +9,8 @@
 use polysig_lang::{Binop, Component, ComponentBuilder, Expr};
 use polysig_tagged::{SigName, Value, ValueType};
 
+use crate::nfifo::{fifo_port, FifoPort};
+
 /// The component name [`monitor_component`] generates for channel `name`.
 pub fn monitor_component_name(name: &str) -> String {
     format!("Monitor_{name}")
@@ -24,60 +26,40 @@ pub fn monitor_component_name(name: &str) -> String {
 ///   present at every tick) and `<name>_maxmiss: int` (the max register,
 ///   present at every tick).
 pub fn monitor_component(name: &str) -> Component {
-    let alarm = format!("{name}_alarm");
-    let ok = format!("{name}_ok");
-    let misses = format!("{name}_misses");
-    let maxmiss = format!("{name}_maxmiss");
-    let mprev = format!("{name}_mprev");
-    let xprev = format!("{name}_xprev");
+    let port = |p: FifoPort| fifo_port(name, p);
+    let (alarm, ok, maxmiss) = (port(FifoPort::Alarm), port(FifoPort::Ok), port(FifoPort::MaxMiss));
+    let local = |suffix: &str| SigName::from(format!("{name}_{suffix}"));
+    let (misses, mprev, xprev) = (local("misses"), local("mprev"), local("xprev"));
+    let tick = SigName::from("tick");
 
     ComponentBuilder::new(monitor_component_name(name))
-        .input(alarm.as_str(), ValueType::Bool)
-        .input(ok.as_str(), ValueType::Bool)
-        .input("tick", ValueType::Bool)
-        .output(misses.as_str(), ValueType::Int)
-        .output(maxmiss.as_str(), ValueType::Int)
-        .local(mprev.as_str(), ValueType::Int)
-        .local(xprev.as_str(), ValueType::Int)
-        .sync(["tick", misses.as_str(), maxmiss.as_str()])
-        .equation(
-            mprev.as_str(),
-            Expr::var(misses.as_str()).pre(Value::Int(0)).when(Expr::var("tick")),
-        )
-        .equation(
-            xprev.as_str(),
-            Expr::var(maxmiss.as_str()).pre(Value::Int(0)).when(Expr::var("tick")),
-        )
+        .input(&alarm, ValueType::Bool)
+        .input(&ok, ValueType::Bool)
+        .input(&tick, ValueType::Bool)
+        .output(&misses, ValueType::Int)
+        .output(&maxmiss, ValueType::Int)
+        .local(&mprev, ValueType::Int)
+        .local(&xprev, ValueType::Int)
+        .sync([&tick, &misses, &maxmiss])
+        .equation(&mprev, Expr::var(&misses).pre(Value::Int(0)).when(Expr::var(&tick)))
+        .equation(&xprev, Expr::var(&maxmiss).pre(Value::Int(0)).when(Expr::var(&tick)))
         // counter: +1 on a missed write, reset on a successful write,
         // otherwise hold
         .equation(
-            misses.as_str(),
-            Expr::var(mprev.as_str())
+            &misses,
+            Expr::var(&mprev)
                 .binop(Binop::Add, Expr::int(1))
-                .when(Expr::var(alarm.as_str()))
-                .default(
-                    Expr::int(0).when(Expr::var(ok.as_str())).default(Expr::var(mprev.as_str())),
-                ),
+                .when(Expr::var(&alarm))
+                .default(Expr::int(0).when(Expr::var(&ok)).default(Expr::var(&mprev))),
         )
         // register: maximum the counter ever reached
         .equation(
-            maxmiss.as_str(),
-            Expr::var(misses.as_str())
-                .when(Expr::var(misses.as_str()).binop(Binop::Gt, Expr::var(xprev.as_str())))
-                .default(Expr::var(xprev.as_str())),
+            &maxmiss,
+            Expr::var(&misses)
+                .when(Expr::var(&misses).binop(Binop::Gt, Expr::var(&xprev)))
+                .default(Expr::var(&xprev)),
         )
         .build()
-}
-
-/// The name of the max-miss register output for channel `name` (what the
-/// estimation loop reads).
-pub fn maxmiss_signal(name: &str) -> SigName {
-    SigName::from(format!("{name}_maxmiss"))
-}
-
-/// The name of the alarm output for channel `name`.
-pub fn alarm_signal(name: &str) -> SigName {
-    SigName::from(format!("{name}_alarm"))
 }
 
 #[cfg(test)]
@@ -158,11 +140,5 @@ mod tests {
         s = step(s, Some(2), true);
         let run = sim.run(&s).unwrap();
         assert!(run.flow(&"ch_maxmiss".into()).iter().all(|v| *v == Value::Int(0)));
-    }
-
-    #[test]
-    fn helper_names() {
-        assert_eq!(maxmiss_signal("ch").as_str(), "ch_maxmiss");
-        assert_eq!(alarm_signal("ch").as_str(), "ch_alarm");
     }
 }

@@ -78,6 +78,6 @@ pub use estimate::{
     EnsembleReport, EstimationOptions, EstimationReport, Estimator, Provenance,
 };
 pub use fork::{fork_component, fork_shared_signals, merge_component};
-pub use partition::{channels_of_program, ChannelSpec};
+pub use partition::{channel_edges, channels_of_program, ChannelSpec};
 pub use policy::ChannelPolicy;
 pub use split::{split_component, suggest_split, SplitSide};

@@ -26,6 +26,45 @@ pub fn fifo_component_name(name: &str) -> String {
     format!("Fifo_{name}")
 }
 
+/// A port of a channel's FIFO or, for [`FifoPort::MaxMiss`], of its
+/// Figure-4 monitor.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FifoPort {
+    /// `<x>_in`: write attempts (the producer's renamed output).
+    In,
+    /// `<x>_rd`: read requests, which the environment drives.
+    Rd,
+    /// `<x>_out`: successful reads (the consumer's renamed input).
+    Out,
+    /// `<x>_alarm`: true on a rejected write.
+    Alarm,
+    /// `<x>_ok`: true on an accepted write.
+    Ok,
+    /// `<x>_count`: occupied stages as of the previous tick.
+    Count,
+    /// `<x>_full`: stage 1 occupied at the end of the tick.
+    Full,
+    /// `<x>_maxmiss`: the monitor's max-consecutive-miss register.
+    MaxMiss,
+}
+
+/// The one place a channel's port names are spelled: the signal
+/// [`nfifo_component`] or [`crate::instrument::monitor_component`]
+/// declares as `port` of channel `name`.
+pub fn fifo_port(name: &str, port: FifoPort) -> SigName {
+    let suffix = match port {
+        FifoPort::In => "in",
+        FifoPort::Rd => "rd",
+        FifoPort::Out => "out",
+        FifoPort::Alarm => "alarm",
+        FifoPort::Ok => "ok",
+        FifoPort::Count => "count",
+        FifoPort::Full => "full",
+        FifoPort::MaxMiss => "maxmiss",
+    };
+    SigName::from(format!("{name}_{suffix}"))
+}
+
 /// Builds the `n`-place FIFO component for channel `name`.
 ///
 /// Interface (all clocked by the master input `tick`):
@@ -49,12 +88,15 @@ pub fn fifo_component_name(name: &str) -> String {
 pub fn nfifo_component(name: &str, n: usize) -> Component {
     assert!(n > 0, "an n-place FIFO needs n >= 1");
     // every name is made once; each use shares its string
-    let sig = |suffix: &str| SigName::from(format!("{name}_{suffix}"));
+    let port = |p: FifoPort| fifo_port(name, p);
+    let (input, rd, out) = (port(FifoPort::In), port(FifoPort::Rd), port(FifoPort::Out));
+    let (alarm, ok) = (port(FifoPort::Alarm), port(FifoPort::Ok));
+    let (count, full) = (port(FifoPort::Count), port(FifoPort::Full));
+    let local = |suffix: &str| SigName::from(format!("{name}_{suffix}"));
     let stages = |kind: &str| -> Vec<SigName> {
         (1..=n).map(|i| SigName::from(format!("{name}_{kind}{i}"))).collect()
     };
-    let (input, rd, out, alarm, ok) = (sig("in"), sig("rd"), sig("out"), sig("alarm"), sig("ok"));
-    let (count, full, inw, rdw_flag) = (sig("count"), sig("full"), sig("inw"), sig("rdw"));
+    let (inw, rdw_flag) = (local("inw"), local("rdw"));
     let tick = SigName::from("tick");
     let (ds, fs, fps, mvs) = (stages("d"), stages("f"), stages("fp"), stages("mv"));
     let d = |i: usize| &ds[i - 1];

@@ -4,7 +4,10 @@
 //! output of one component and an input of another is an explicit data
 //! dependency `P →x Q` with `P` its single producer (the single-writer rule
 //! is enforced by `polysig_lang::resolve`). [`channels_of_program`] lists
-//! them, ready to be cut by the desynchronization transformation.
+//! them, ready to be cut by the desynchronization transformation;
+//! [`channel_edges`] is the same walk for a program that may break the
+//! single-consumer rule, which the static analyzer reports rather than
+//! refuses.
 
 use polysig_lang::{Program, Role};
 use polysig_tagged::{SigName, ValueType};
@@ -19,9 +22,10 @@ pub struct ChannelSpec {
     pub signal: SigName,
     /// Name of the producing component.
     pub producer: String,
-    /// Names of the consuming components (the paper assumes a single
+    /// Name of the consuming component (the paper assumes a single
     /// consumer per channel; multi-consumer signals must go through explicit
-    /// fork components, and are rejected by [`channels_of_program`]).
+    /// fork components, are rejected by [`channels_of_program`], and get one
+    /// spec per consumer from [`channel_edges`]).
     pub consumer: String,
     /// The value type carried.
     pub ty: ValueType,
@@ -31,13 +35,28 @@ pub struct ChannelSpec {
 ///
 /// # Errors
 ///
-/// * [`GalsError::MultiConsumer`] if a shared signal is read by more than
-///   one component (the paper's single-producer/single-consumer restriction;
-///   use explicit copy/fork components for fan-out);
+/// * [`GalsError::MultiConsumer`] for the first shared signal read by more
+///   than one component (the paper's single-producer/single-consumer
+///   restriction; use explicit copy/fork components for fan-out);
 /// * [`GalsError::Lang`] if the program does not resolve.
 pub fn channels_of_program(p: &Program) -> Result<Vec<ChannelSpec>, GalsError> {
     polysig_lang::resolve::resolve_program(p)?;
-    let mut out = Vec::new();
+    let (channels, fanout) = channel_edges(p);
+    match fanout.into_iter().next() {
+        Some((signal, consumers)) => Err(GalsError::MultiConsumer { signal, consumers }),
+        None => Ok(channels),
+    }
+}
+
+/// The tolerant walk behind [`channels_of_program`]: every
+/// producer→consumer edge (a fanned-out signal yields one edge per
+/// consumer), in producer, output-declaration, then consumer order, plus
+/// each signal read by more than one component, listed with its
+/// consumers. It neither resolves the program nor rejects fan-out, so a
+/// static analysis can report a violation and keep going.
+pub fn channel_edges(p: &Program) -> (Vec<ChannelSpec>, Vec<(SigName, Vec<String>)>) {
+    let mut channels = Vec::new();
+    let mut fanout = Vec::new();
     for producer in &p.components {
         for decl in producer.signals_with_role(Role::Output) {
             let consumers: Vec<&str> = p
@@ -49,24 +68,18 @@ pub fn channels_of_program(p: &Program) -> Result<Vec<ChannelSpec>, GalsError> {
                 })
                 .map(|c| c.name.as_str())
                 .collect();
-            match consumers.as_slice() {
-                [] => {}
-                [single] => out.push(ChannelSpec {
-                    signal: decl.name.clone(),
-                    producer: producer.name.clone(),
-                    consumer: (*single).to_string(),
-                    ty: decl.ty,
-                }),
-                many => {
-                    return Err(GalsError::MultiConsumer {
-                        signal: decl.name.clone(),
-                        consumers: many.iter().map(|s| s.to_string()).collect(),
-                    })
-                }
+            if consumers.len() > 1 {
+                fanout.push((decl.name.clone(), consumers.iter().map(|c| c.to_string()).collect()));
             }
+            channels.extend(consumers.into_iter().map(|consumer| ChannelSpec {
+                signal: decl.name.clone(),
+                producer: producer.name.clone(),
+                consumer: consumer.to_string(),
+                ty: decl.ty,
+            }));
         }
     }
-    Ok(out)
+    (channels, fanout)
 }
 
 #[cfg(test)]
@@ -117,6 +130,11 @@ mod tests {
         .unwrap();
         let err = channels_of_program(&p).unwrap_err();
         assert!(matches!(err, GalsError::MultiConsumer { .. }));
+        // the tolerant walk reports the fan-out and keeps both edges
+        let (chans, fanout) = channel_edges(&p);
+        let consumers: Vec<&str> = chans.iter().map(|c| c.consumer.as_str()).collect();
+        assert_eq!(consumers, ["B", "C"]);
+        assert_eq!(fanout, vec![(SigName::from("x"), vec!["B".to_string(), "C".to_string()])]);
     }
 
     #[test]

@@ -366,65 +366,54 @@ pub fn run_federated(
     }
 
     // stream occupancy samples while the federation runs, and (when the
-    // watchdog is armed) check for a federation-wide permanent stall
+    // watchdog is armed) check for a federation-wide permanent stall; the
+    // loop wakes at the shorter of the two intervals, and with neither set
+    // it never runs (nor sleeps)
     let mut samples = Vec::new();
     let mut watchdog = options.watchdog.map(|_| WatchdogReport::default());
-    match options.watchdog {
-        None => rti.wait_sampling(options.sample_every, || {
-            samples.push(OccupancySample {
-                at: started.elapsed(),
-                occupancy: monitors.iter().map(|(n, m)| (n.clone(), m.occupancy())).collect(),
-            });
-        }),
-        Some(check_every) => {
-            let cadence = options.sample_every.map_or(check_every, |s| s.min(check_every));
-            let report = watchdog.as_mut().expect("armed above");
-            let mut next_sample = options.sample_every;
-            let mut next_check = check_every;
-            let mut last_traffic: Option<u64> = None;
-            let mut stuck_streak = 0u32;
-            rti.wait_sampling(Some(cadence), || {
-                let now = started.elapsed();
-                if let Some(due) = next_sample {
-                    if now >= due {
-                        next_sample = Some(due + options.sample_every.expect("set with due"));
-                        samples.push(OccupancySample {
-                            at: now,
-                            occupancy: monitors
-                                .iter()
-                                .map(|(n, m)| (n.clone(), m.occupancy()))
-                                .collect(),
-                        });
-                    }
-                }
-                if now < next_check || report.fired {
-                    return;
-                }
-                next_check = now + check_every;
-                // a deadlock reads as: every live federate blocked inside a
-                // channel wait AND zero tokens moved since the last check —
-                // sustained over two consecutive windows, so a federate
-                // momentarily between a gone peer and its wakeup (a window
-                // of one STALL_POLL slice) can never trip it
-                let live = rti.live_count();
-                let waiting: usize = monitors.iter().map(|(_, m)| m.waiting_ends()).sum();
-                let traffic: u64 = monitors.iter().map(|(_, m)| m.traffic()).sum();
-                let stuck = live > 0 && waiting >= live && last_traffic == Some(traffic);
-                last_traffic = Some(traffic);
-                stuck_streak = if stuck { stuck_streak + 1 } else { 0 };
-                if stuck_streak >= 2 {
-                    report.fired = true;
-                    report.at = Some(now);
-                    report.stalled = monitors
-                        .iter()
-                        .filter(|(_, m)| m.waiting_ends() > 0)
-                        .map(|(n, _)| n.clone())
-                        .collect();
-                    rti.request_shutdown();
-                }
-            });
+    let cadence = [options.sample_every, options.watchdog].into_iter().flatten().min();
+    let mut next_sample = options.sample_every;
+    let mut next_check = options.watchdog.unwrap_or_default();
+    let mut last_traffic: Option<u64> = None;
+    let mut stuck_streak = 0u32;
+    rti.wait_sampling(cadence, || {
+        let now = started.elapsed();
+        if let (Some(due), Some(every)) = (next_sample, options.sample_every) {
+            if now >= due {
+                next_sample = Some(due + every);
+                samples.push(OccupancySample {
+                    at: now,
+                    occupancy: monitors.iter().map(|(n, m)| (n.clone(), m.occupancy())).collect(),
+                });
+            }
         }
-    }
+        let (Some(report), Some(every)) = (watchdog.as_mut(), options.watchdog) else { return };
+        if now < next_check || report.fired {
+            return;
+        }
+        next_check = now + every;
+        // a deadlock reads as: every live federate blocked inside a
+        // channel wait AND zero tokens moved since the last check —
+        // sustained over two consecutive windows, so a federate
+        // momentarily between a gone peer and its wakeup (a window of one
+        // STALL_POLL slice) can never trip it
+        let live = rti.live_count();
+        let waiting: usize = monitors.iter().map(|(_, m)| m.waiting_ends()).sum();
+        let traffic: u64 = monitors.iter().map(|(_, m)| m.traffic()).sum();
+        let stuck = live > 0 && waiting >= live && last_traffic == Some(traffic);
+        last_traffic = Some(traffic);
+        stuck_streak = if stuck { stuck_streak + 1 } else { 0 };
+        if stuck_streak >= 2 {
+            report.fired = true;
+            report.at = Some(now);
+            report.stalled = monitors
+                .iter()
+                .filter(|(_, m)| m.waiting_ends() > 0)
+                .map(|(n, _)| n.clone())
+                .collect();
+            rti.request_shutdown();
+        }
+    });
 
     let (results, teardown) = rti.join_all();
     let elapsed = started.elapsed();

@@ -20,6 +20,7 @@ use std::collections::BTreeMap;
 use rand::rngs::StdRng;
 use rand::Rng;
 
+use polysig_gals::nfifo::{fifo_port, FifoPort};
 use polysig_lang::{Binop, Component, ComponentBuilder, Expr, Program, Role, Unop};
 use polysig_sim::Scenario;
 use polysig_tagged::{SigName, Value, ValueType};
@@ -500,7 +501,7 @@ fn generate_pipeline(rng: &mut StdRng, config: &GenConfig) -> GenCase {
         for i in 0..est_steps {
             let mut step = BTreeMap::new();
             if i % period == phase {
-                step.insert(SigName::from(format!("s{j}_rd")), Value::TRUE);
+                step.insert(fifo_port(&format!("s{j}"), FifoPort::Rd), Value::TRUE);
             }
             rd.push_step(step);
         }

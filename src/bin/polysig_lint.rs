@@ -22,6 +22,7 @@ use polysig::analyze::{
     ProveOptions,
 };
 use polysig::lang::check_program;
+use polysig::serve::proto::analysis_json;
 use polysig::sim::Scenario;
 
 fn main() -> ExitCode {
@@ -111,7 +112,7 @@ fn run(args: &[String]) -> Result<bool, String> {
         };
         report.configure(&opts.config);
         if opts.json {
-            println!("{}", report.to_json());
+            println!("{}", analysis_json(&report).render());
         } else {
             render_human(path, &report);
         }

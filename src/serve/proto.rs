@@ -15,10 +15,10 @@
 use std::fmt::Write as _;
 use std::io::{self, Read, Write};
 
-use polysig_analyze::AnalysisReport;
+use polysig_analyze::{AnalysisReport, DeploymentVerdict, LintLevel};
 use polysig_gals::EstimationReport;
 use polysig_lang::ast::{Program, Statement};
-use polysig_lang::pretty_program;
+use polysig_lang::{pretty_program, Endochrony};
 use polysig_verify::CheckResult;
 
 use super::json::Json;
@@ -445,9 +445,75 @@ fn check_summary_json(c: &CheckSummary) -> Json {
     ])
 }
 
-fn analysis_json(r: &AnalysisReport) -> Json {
-    // reuse the analyzer's own JSON rendering (the lint binary's format)
-    Json::parse(&r.to_json()).expect("AnalysisReport::to_json emits valid JSON")
+/// An analysis report as JSON: its findings, their counts per level, each
+/// component's endochrony verdict and the deployment verdict. This is the
+/// `analysis` payload and the document `polysig-lint --json` prints per
+/// file.
+pub fn analysis_json(r: &AnalysisReport) -> Json {
+    let text = |s: &str| Json::Str(s.to_string());
+    let opt = |s: Option<&str>| s.map_or(Json::Null, text);
+    let num = |n: usize| Json::Num(n as i64);
+    let diagnostics = r
+        .diagnostics
+        .iter()
+        .map(|d| {
+            Json::Obj(vec![
+                ("code".into(), text(d.code.as_str())),
+                ("name".into(), text(d.code.name())),
+                ("level".into(), text(d.level.as_str())),
+                ("component".into(), opt(d.component.as_deref())),
+                ("signal".into(), opt(d.signal.as_ref().map(|s| s.as_str()))),
+                ("message".into(), text(&d.message)),
+                ("suggestion".into(), opt(d.suggestion.as_deref())),
+                ("waived".into(), opt(d.waived.as_deref())),
+            ])
+        })
+        .collect();
+    let summary = Json::Obj(vec![
+        ("deny".into(), num(r.count_at(LintLevel::Deny))),
+        ("warn".into(), num(r.count_at(LintLevel::Warn))),
+        ("allow".into(), num(r.count_at(LintLevel::Allow))),
+        ("waived".into(), num(r.diagnostics.iter().filter(|d| d.waived.is_some()).count())),
+    ]);
+    let endochrony = r
+        .endochrony
+        .iter()
+        .map(|(component, verdict)| {
+            let name = match verdict {
+                Endochrony::Endochronous => "endochronous",
+                Endochrony::Endochronizable { .. } => "endochronizable",
+                Endochrony::NonDeterministic { .. } => "non-deterministic",
+            };
+            (component.clone(), text(name))
+        })
+        .collect();
+    let mut members = vec![
+        ("diagnostics".into(), Json::Arr(diagnostics)),
+        ("summary".into(), summary),
+        ("endochrony".into(), Json::Obj(endochrony)),
+    ];
+    if let Some(d) = &r.deployment {
+        let mut deployment = match &d.verdict {
+            DeploymentVerdict::DeadlockFree { argument } => {
+                vec![("verdict".into(), text("deadlock-free")), ("argument".into(), text(argument))]
+            }
+            DeploymentVerdict::DeadlockRisk { cycle, reason } => vec![
+                ("verdict".into(), text("deadlock-risk")),
+                ("reason".into(), text(reason)),
+                ("cycle".into(), Json::Arr(cycle.iter().map(|s| text(s.as_str())).collect())),
+            ],
+            DeploymentVerdict::Unknown { reason } => {
+                vec![("verdict".into(), text("unknown")), ("reason".into(), text(reason))]
+            }
+        };
+        deployment.push(("channels".into(), num(d.channels)));
+        if !d.suggested_capacities.is_empty() {
+            let caps = d.suggested_capacities.iter().map(|(s, &cap)| (s.to_string(), num(cap)));
+            deployment.push(("suggested_capacities".into(), Json::Obj(caps.collect())));
+        }
+        members.push(("deployment".into(), Json::Obj(deployment)));
+    }
+    Json::Obj(members)
 }
 
 impl Response {
@@ -578,6 +644,26 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(&b"hello"[..]));
         assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(&b""[..]));
         assert_eq!(read_frame(&mut r).unwrap(), None);
+    }
+
+    #[test]
+    fn analysis_json_escapes_strings_and_writes_nulls() {
+        use polysig_analyze::{Diagnostic, LintCode};
+        let report = AnalysisReport {
+            diagnostics: vec![Diagnostic::new(LintCode::CausalityCycle, "path \"a\" → b\n\u{1}")],
+            endochrony: [("P".to_string(), Endochrony::Endochronous)].into(),
+            channels: Vec::new(),
+            bounds: None,
+            deployment: None,
+        };
+        assert_eq!(
+            analysis_json(&report).render(),
+            r#"{"diagnostics":[{"code":"PA003","name":"causality-cycle","level":"deny","#
+                .to_owned()
+                + r#""component":null,"signal":null,"message":"path \"a\" → b\n\u0001","#
+                + r#""suggestion":null,"waived":null}],"summary":{"deny":1,"warn":0,"allow":0,"#
+                + r#""waived":0},"endochrony":{"P":"endochronous"}}"#
+        );
     }
 
     #[test]
